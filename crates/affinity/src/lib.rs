@@ -35,14 +35,12 @@
 pub mod analyzer;
 pub mod hierarchy;
 pub mod incremental;
-pub mod linkbased;
 pub mod naive;
 pub mod shard;
 
 pub use analyzer::PairThresholds;
 pub use hierarchy::{AffinityHierarchy, AffinityPartition};
 pub use incremental::{AffinityDelta, AffinityState};
-pub use linkbased::{LinkHierarchy, LinkPartition};
 
 use clop_trace::{BlockId, TrimmedTrace};
 

@@ -3,16 +3,16 @@
 //! Every table/figure of the paper is one [`Experiment`]: a name (also the
 //! `results/<name>.json` artifact stem), a title, and a pure function from
 //! an [`ExperimentCtx`] to an [`ExperimentResult`] (rendered text plus the
-//! JSON record). The `exp_*` binaries are thin shims over [`cli_main`];
-//! `exp_all` iterates [`all`] in-process so every experiment shares one
-//! memoizing [`Engine`].
+//! JSON record). `exp_all [--jobs N] [name ...]` ([`parse_args`]) runs the
+//! named experiments, or all of [`all`], in one process, so every
+//! experiment shares one memoizing [`Engine`].
 //!
 //! The context carries the evaluation engine and the `--jobs` worker
 //! count. Experiments fan independent work out through [`ExperimentCtx::map`]
 //! (a scoped-thread pool with deterministic, input-ordered results), so
 //! `--jobs N` output is byte-identical to `--jobs 1`.
 
-use crate::{eval_config, optimizer_for, write_json};
+use crate::{eval_config, optimizer_for};
 use clop_core::{Engine, OptError, OptimizedProgram, Optimizer, OptimizerKind, ProgramRun};
 use clop_ir::{Layout, Module};
 use clop_util::pool::{default_jobs, parallel_map};
@@ -229,69 +229,64 @@ pub fn find(name: &str) -> Option<Experiment> {
     all().into_iter().find(|e| e.name == name)
 }
 
-/// Run one experiment: print its report and write its JSON artifact.
-pub fn run_and_write(exp: &Experiment, ctx: &ExperimentCtx) {
-    let result = (exp.run)(ctx);
-    print!("{}", result.text);
-    write_json(exp.name, &result.json);
+/// A parsed `exp_all` command line.
+pub struct SuiteArgs {
+    /// Worker-thread budget; defaults to the machine's available
+    /// parallelism.
+    pub jobs: usize,
+    /// The experiments to run, in canonical [`all`] order: the named ones,
+    /// or every experiment when no name was given.
+    pub experiments: Vec<Experiment>,
 }
 
-/// Parse `--jobs N` / `--jobs=N` from the process arguments; defaults to
-/// the machine's available parallelism.
-pub fn jobs_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        let a = &args[i];
-        if a == "--jobs" || a == "-j" {
-            let v = args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("{} requires a value", a);
-                std::process::exit(2);
-            });
-            return parse_jobs(v);
+/// Parse `exp_all`'s arguments (program name excluded):
+/// `[--jobs N | --jobs=N | -j N] [name ...]`. An unknown flag, an unknown
+/// experiment name or a `--jobs` value that is not a positive integer is
+/// an error message.
+pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<SuiteArgs, String> {
+    let mut jobs = None;
+    let mut names = Vec::new();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        if arg == "--jobs" || arg == "-j" {
+            let v = args
+                .next()
+                .ok_or_else(|| format!("{} requires a value", arg))?;
+            jobs = Some(parse_jobs(&v)?);
+        } else if let Some(v) = arg.strip_prefix("--jobs=") {
+            jobs = Some(parse_jobs(v)?);
+        } else if arg.starts_with('-') {
+            return Err(format!("unknown flag {:?}", arg));
+        } else if find(&arg).is_some() {
+            names.push(arg);
+        } else {
+            return Err(format!("unknown experiment {:?}", arg));
         }
-        if let Some(v) = a.strip_prefix("--jobs=") {
-            return parse_jobs(v);
-        }
-        i += 1;
     }
-    default_jobs()
+    let experiments = all()
+        .into_iter()
+        .filter(|e| names.is_empty() || names.iter().any(|n| n == e.name))
+        .collect();
+    Ok(SuiteArgs {
+        jobs: jobs.unwrap_or_else(default_jobs),
+        experiments,
+    })
 }
 
-fn parse_jobs(v: &str) -> usize {
+fn parse_jobs(v: &str) -> Result<usize, String> {
     match v.parse::<usize>() {
-        Ok(n) if n >= 1 => n,
-        _ => {
-            eprintln!("--jobs expects a positive integer, got {:?}", v);
-            std::process::exit(2);
-        }
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("--jobs expects a positive integer, got {:?}", v)),
     }
 }
 
-/// Entry point for the thin `exp_*` binaries: run the named experiment
-/// with `--jobs` from the CLI, under the same panic isolation and
-/// `CLOP_EXP_TIMEOUT` watchdog as `exp_all`. Exits nonzero on failure.
-pub fn cli_main(name: &str) {
-    let Some(exp) = find(name) else {
-        eprintln!("unknown experiment {:?}", name);
-        eprintln!("known experiments:");
-        for e in all() {
-            eprintln!("  {:<24} {}", e.name, e.title);
-        }
-        std::process::exit(2);
-    };
-    let ctx = std::sync::Arc::new(ExperimentCtx::new(jobs_from_args()));
-    let opts = crate::runner::SuiteOptions::from_env();
-    match crate::runner::run_supervised(&exp, &ctx, opts.timeout) {
-        Ok(result) => {
-            print!("{}", result.text);
-            write_json(exp.name, &result.json);
-        }
-        Err(e) => {
-            eprintln!("experiment `{}` failed: {}", name, e);
-            std::process::exit(1);
-        }
+/// `exp_all`'s usage line followed by the experiment list.
+pub fn usage() -> String {
+    let mut out = String::from("usage: exp_all [--jobs N] [name ...]\nexperiments:\n");
+    for e in all() {
+        out.push_str(&format!("  {:<24} {}\n", e.name, e.title));
     }
+    out
 }
 
 #[cfg(test)]
@@ -308,6 +303,31 @@ mod tests {
         assert_eq!(names.len(), exps.len(), "duplicate experiment names");
         assert!(find("fig4_miss_ratios").is_some());
         assert!(find("nope").is_none());
+    }
+
+    fn parse(args: &[&str]) -> Result<SuiteArgs, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn args_select_named_experiments_in_canonical_order() {
+        let a = parse(&["mrc", "--jobs", "3", "intro_table"]).unwrap();
+        assert_eq!(a.jobs, 3);
+        let names: Vec<&str> = a.experiments.iter().map(|e| e.name).collect();
+        assert_eq!(names, ["intro_table", "mrc"]);
+        assert_eq!(parse(&["-j", "2"]).unwrap().jobs, 2);
+        assert_eq!(parse(&["--jobs=4"]).unwrap().experiments.len(), all().len());
+    }
+
+    #[test]
+    fn args_reject_unknown_flags_names_and_zero_jobs() {
+        let err = |args: &[&str]| parse(args).err().unwrap();
+        assert!(err(&["--job", "2"]).contains("unknown flag"));
+        assert!(err(&["fig4"]).contains("unknown experiment"));
+        assert!(err(&["--jobs", "0"]).contains("positive integer"));
+        assert!(err(&["--jobs=x"]).contains("positive integer"));
+        assert!(err(&["-j"]).contains("requires a value"));
+        assert!(usage().contains("static_rank"));
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Shared harness utilities for the experiment binaries.
+//! Shared harness utilities for the experiment suite.
 //!
-//! Every experiment binary (`src/bin/exp_*.rs`) regenerates one table or
-//! figure of the paper. The experiments themselves live in
-//! [`experiments`] as declarative specs registered in [`experiment::all`];
-//! the binaries are thin shims over [`experiment::cli_main`]. Shared here:
-//! program evaluation (link + reference run + both measurement channels),
-//! aligned-text table rendering, and JSON result emission into `results/`.
+//! Every experiment regenerates one table or figure of the paper. The
+//! experiments live in [`experiments`] as declarative specs registered in
+//! [`experiment::all`]; the `exp_all` binary runs them by name under the
+//! supervision of [`runner`]. Shared here: program evaluation (link +
+//! reference run + both measurement channels), aligned-text table
+//! rendering, and JSON result emission into `results/`.
 
 pub mod corun;
 pub mod experiment;
@@ -16,8 +16,7 @@ pub mod runner;
 pub use clop_util::pool;
 
 use clop_cachesim::{CacheConfig, TimingConfig};
-use clop_core::{EvalConfig, OptError, Optimizer, OptimizerKind, ProfileConfig, ProgramRun};
-use clop_ir::Layout;
+use clop_core::{EvalConfig, Optimizer, OptimizerKind, ProfileConfig};
 use clop_util::{ClopError, Json};
 use clop_workloads::Workload;
 use std::path::{Path, PathBuf};
@@ -31,31 +30,12 @@ pub fn eval_config(w: &Workload) -> EvalConfig {
     }
 }
 
-/// Evaluate a workload's baseline (original layout, untransformed module).
-///
-/// Unmemoized convenience entry; experiments go through
-/// [`experiment::ExperimentCtx::baseline`] instead, which caches the run.
-pub fn baseline_run(w: &Workload) -> ProgramRun {
-    ProgramRun::evaluate(&w.module, &Layout::original(&w.module), &eval_config(w))
-}
-
 /// Build an optimizer of `kind` whose profiling uses the workload's *test*
 /// input.
 pub fn optimizer_for(w: &Workload, kind: OptimizerKind) -> Optimizer {
     let mut opt = Optimizer::new(kind);
     opt.profile = ProfileConfig::with_exec(w.test_exec);
     opt
-}
-
-/// Optimize a workload and evaluate the result on the reference input.
-/// `Err` carries the paper's "N/A" cases (BB reordering failures).
-pub fn optimized_run(w: &Workload, kind: OptimizerKind) -> Result<ProgramRun, OptError> {
-    let opt = optimizer_for(w, kind).optimize(&w.module)?;
-    Ok(ProgramRun::evaluate(
-        &opt.module,
-        &opt.layout,
-        &eval_config(w),
-    ))
 }
 
 /// The paper's cache.
@@ -85,14 +65,6 @@ pub fn try_results_dir() -> Result<PathBuf, ClopError> {
     Ok(dir)
 }
 
-/// Where experiment artifacts are written.
-///
-/// Panicking convenience wrapper around [`try_results_dir`] for callers
-/// with no error channel.
-pub fn results_dir() -> PathBuf {
-    try_results_dir().unwrap_or_else(|e| panic!("{}", e))
-}
-
 /// Atomically write a JSON result as `<dir>/<name>.json`: the file is
 /// staged as a temp sibling and renamed into place, so a crash mid-write
 /// never leaves a torn artifact.
@@ -102,13 +74,6 @@ pub fn write_json_to(dir: &Path, name: &str, value: &Json) -> Result<(), ClopErr
         .map_err(|e| ClopError::io(format!("write {}", path.display()), &e))?;
     eprintln!("wrote {}", path.display());
     Ok(())
-}
-
-/// Write a JSON result under `results/<name>.json` (atomic).
-pub fn write_json(name: &str, value: &Json) {
-    try_results_dir()
-        .and_then(|dir| write_json_to(&dir, name, value))
-        .unwrap_or_else(|e| panic!("{}", e))
 }
 
 /// Render an aligned text table: header row plus data rows.

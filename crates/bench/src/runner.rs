@@ -26,7 +26,7 @@
 //!   failed. The machine-readable report lands in the checkpoint
 //!   directory (not `results/`, which holds only experiment artifacts).
 
-use crate::experiment::{all, Experiment, ExperimentCtx, ExperimentResult};
+use crate::experiment::{Experiment, ExperimentCtx, ExperimentResult};
 use crate::{render_table, try_results_dir, write_json_to};
 use clop_util::{atomic_write, ClopError, FailureKind, Json};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -44,7 +44,8 @@ pub struct SuiteOptions {
     pub resume: bool,
     /// Checkpoint directory; default `<results>/.checkpoint`.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Results directory; default [`crate::results_dir`] (`CLOP_RESULTS_DIR`).
+    /// Results directory; default [`crate::try_results_dir`]
+    /// (`CLOP_RESULTS_DIR`).
     pub results_dir: Option<PathBuf>,
 }
 
@@ -363,11 +364,6 @@ pub fn run_jobs(exps: &[Experiment], ctx: &Arc<ExperimentCtx>, opts: &SuiteOptio
         }
     }
     report
-}
-
-/// Run the whole registered suite ([`all`]) under supervision.
-pub fn run_suite(ctx: &Arc<ExperimentCtx>, opts: &SuiteOptions) -> SuiteReport {
-    run_jobs(&all(), ctx, opts)
 }
 
 #[cfg(test)]

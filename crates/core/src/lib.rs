@@ -13,7 +13,8 @@
 //! The end-to-end pipeline mirrors §II-F and is first-class in
 //! [`pipeline`]: a [`pipeline::LocalityModel`] (w-window affinity, TRG)
 //! composed with a [`pipeline::Transform`] (function reorder,
-//! inter-procedural BB reorder) through a name-keyed registry:
+//! inter-procedural BB reorder), built by name from a fixed table of the
+//! four pipelines ([`build_pipeline`]):
 //!
 //! 1. [`profile`] — execute the program on its *test* input, recording the
 //!    whole-program function trace and basic-block trace; trim, optionally
@@ -27,10 +28,11 @@
 //!    the result),
 //! 4. [`eval`] — link the optimized layout and measure it, solo or in
 //!    co-run, with the simulators in [`clop_cachesim`]; the memoizing
-//!    [`engine::Engine`] deduplicates identical evaluations process-wide.
+//!    [`engine::Engine`] deduplicates identical evaluations and
+//!    optimizations process-wide.
 //!
 //! [`optimizer::OptimizerKind`] survives as a compatibility alias whose
-//! four names dispatch through the registry.
+//! four names dispatch through [`build_pipeline`].
 //!
 //! Every pipeline run is machine-checked by `clop-verify` before it is
 //! returned (well-formedness of the prepared module plus semantic
@@ -57,14 +59,13 @@ pub use baseline::{
     intra_procedural_block_order, pettis_hansen_function_order, preprocess_for_intra_reordering,
 };
 pub use bbreorder::{preprocess_for_bb_reordering, BbReorderError};
-pub use engine::{AnalysisCache, Engine, EngineStats};
+pub use engine::{Engine, EngineStats};
 pub use eval::{timed_fetch_stream, timed_fetch_stream_from, EvalConfig, ProgramRun};
 pub use incremental::{AnalysisParams, IncrementalStore, LayoutResult, VersionState};
 pub use optimizer::{OptError, OptimizedProgram, Optimizer, OptimizerKind};
 pub use pipeline::{
-    build_pipeline, register_pipeline, registered_pipelines, BbReorder, FunctionReorder,
-    LocalityModel, Pipeline, PipelineParams, PipelineRegistry, Transform, TrgModel,
-    WWindowAffinity,
+    build_pipeline, registered_pipelines, BbReorder, FunctionReorder, LocalityModel, Pipeline,
+    PipelineParams, Transform, TrgModel, WWindowAffinity,
 };
 pub use prefilter::{
     prefilter_pipelines, rank_pipelines_static, static_score, StaticRankEntry, StaticRanking,
@@ -77,11 +78,9 @@ pub use search::{exhaustive_best_function_order, random_search_function_order, S
 /// Convenient import surface.
 pub mod prelude {
     pub use crate::bbreorder::{preprocess_for_bb_reordering, BbReorderError};
-    pub use crate::engine::{AnalysisCache, Engine, EngineStats};
+    pub use crate::engine::{Engine, EngineStats};
     pub use crate::eval::{timed_fetch_stream, EvalConfig, ProgramRun};
     pub use crate::optimizer::{OptError, OptimizedProgram, Optimizer, OptimizerKind};
-    pub use crate::pipeline::{
-        build_pipeline, register_pipeline, LocalityModel, Pipeline, PipelineParams, Transform,
-    };
+    pub use crate::pipeline::{build_pipeline, LocalityModel, Pipeline, PipelineParams, Transform};
     pub use crate::profile::{Profile, ProfileConfig};
 }

@@ -10,9 +10,8 @@
 //! can say nothing about unexecuted code.
 //!
 //! [`OptimizerKind`] remains as a compatibility alias for the paper's 2×2
-//! matrix; every `optimize` call dispatches through the name-keyed
-//! [`pipeline registry`](crate::pipeline::build_pipeline), so kinds and
-//! registered pipelines always agree.
+//! matrix; every `optimize` call dispatches by name through
+//! [`build_pipeline`], so kinds and pipelines always agree.
 
 use crate::bbreorder::BbReorderError;
 use crate::pipeline::{build_pipeline, PipelineParams};
@@ -93,7 +92,7 @@ pub enum OptError {
     /// BB reordering could not transform this program (the paper's "N/A"
     /// cases).
     BbReorder(BbReorderError),
-    /// The requested pipeline name is not in the registry.
+    /// The requested pipeline name is not one of the four pipelines.
     UnknownPipeline(String),
     /// The static verifier rejected the pipeline's output (always a bug in
     /// a model or transform; see `clop-verify`). Skipped when
@@ -198,8 +197,8 @@ impl Optimizer {
         }
     }
 
-    /// Run the pipeline on a module. Dispatches through the name-keyed
-    /// pipeline registry; the enum is purely a name.
+    /// Run the pipeline on a module. Dispatches by name through
+    /// [`build_pipeline`]; the enum is purely a name.
     pub fn optimize(&self, module: &Module) -> Result<OptimizedProgram, OptError> {
         let name = self.kind.to_string();
         build_pipeline(&name, &self.params())

@@ -1,4 +1,5 @@
-//! The optimization pipeline as open traits plus a name-keyed registry.
+//! The optimization pipeline as open traits plus a fixed table of the
+//! paper's four pipelines.
 //!
 //! The paper's contribution (§II-F) is a *pipeline* — instrument → trace →
 //! prune → model → transform → evaluate — instantiated four ways: two
@@ -11,20 +12,21 @@
 //!   matching trace from a [`Profile`], and realizes the model's sequence
 //!   as a concrete [`Layout`].
 //! * [`Pipeline`] composes one of each with a profiling configuration.
-//! * The [`registry`] maps names ("function-affinity", "bb-trg", …) to
-//!   pipeline builders, so new models and transforms plug in without
-//!   touching any dispatch site — [`crate::Optimizer`] and the experiment
-//!   harness both construct pipelines purely by name.
+//! * [`build_pipeline`] maps the four names ("function-affinity",
+//!   "bb-affinity", "function-trg", "bb-trg") to pipelines through one
+//!   fixed table. Every dispatch site — [`crate::Optimizer`], the
+//!   [`crate::Engine`], the experiment harness and `clop-serve` —
+//!   constructs pipelines purely by name, so a new pipeline is one more
+//!   table row.
 
 use crate::bbreorder;
-use crate::engine::AnalysisCache;
 use crate::optimizer::{OptError, OptimizedProgram};
 use crate::profile::{Profile, ProfileConfig};
 use clop_affinity::{affinity_layout_jobs, AffinityConfig, AffinityHierarchy};
 use clop_ir::{FuncId, GlobalBlockId, Layout, Module};
 use clop_trace::{BlockId, Granularity, TrimmedTrace};
 use clop_trg::{trg_layout_jobs, TrgConfig};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::Arc;
 
 /// A locality model: maps a trimmed code-block trace to a hot-unit
 /// placement sequence. Units the model never mentions are appended in
@@ -34,12 +36,6 @@ pub trait LocalityModel: Send + Sync {
     fn name(&self) -> &str;
     /// The placement sequence for the profiled units.
     fn sequence(&self, trace: &TrimmedTrace) -> Vec<BlockId>;
-    /// Like [`sequence`](LocalityModel::sequence), but may reuse (and
-    /// populate) memoized analysis intermediates for this trace. Models
-    /// with no cacheable intermediate fall back to the plain path.
-    fn sequence_cached(&self, trace: &TrimmedTrace, _cache: &AnalysisCache) -> Vec<BlockId> {
-        self.sequence(trace)
-    }
     /// The placement sequence computed from a streamed incremental fold
     /// instead of a materialized trace. `None` when the model has no
     /// incremental path or the state was folded at different parameters;
@@ -70,13 +66,6 @@ impl LocalityModel for WWindowAffinity {
 
     fn sequence(&self, trace: &TrimmedTrace) -> Vec<BlockId> {
         affinity_layout_jobs(trace, self.config, self.jobs.max(1))
-    }
-
-    fn sequence_cached(&self, trace: &TrimmedTrace, cache: &AnalysisCache) -> Vec<BlockId> {
-        // The expensive intermediate (pairwise thresholds) depends only on
-        // (trace, w_max); the hierarchy build is cheap by comparison.
-        let thresholds = cache.thresholds(trace, self.config.w_max, self.jobs.max(1));
-        AffinityHierarchy::build(trace, &thresholds, self.config).layout()
     }
 
     fn sequence_incremental(
@@ -110,13 +99,6 @@ impl LocalityModel for TrgModel {
 
     fn sequence(&self, trace: &TrimmedTrace) -> Vec<BlockId> {
         trg_layout_jobs(trace, self.config, self.jobs.max(1))
-    }
-
-    fn sequence_cached(&self, trace: &TrimmedTrace, cache: &AnalysisCache) -> Vec<BlockId> {
-        // The expensive intermediate (the graph) depends only on
-        // (trace, window); the slot reduction is cheap by comparison.
-        let trg = cache.trg(trace, self.config.window, self.jobs.max(1));
-        clop_trg::reduce(&trg, self.config.slots, trace).sequence
     }
 
     fn sequence_incremental(
@@ -234,8 +216,8 @@ pub(crate) fn complete_order<I: IntoIterator<Item = u32>>(hot: I, n: u32) -> Vec
 /// A composed optimization pipeline: profile → model → transform.
 #[derive(Clone)]
 pub struct Pipeline {
-    /// Registry name this pipeline was built under (e.g.
-    /// `"function-affinity"`); recorded on the [`OptimizedProgram`].
+    /// Pipeline name (e.g. `"function-affinity"`); recorded on the
+    /// [`OptimizedProgram`].
     pub name: String,
     /// The locality model.
     pub model: Arc<dyn LocalityModel>,
@@ -280,27 +262,13 @@ impl Pipeline {
     /// equivalent to the input (see `clop-verify`). A rejection is always
     /// a bug in a model or transform and surfaces as [`OptError::Verify`].
     pub fn optimize(&self, module: &Module) -> Result<OptimizedProgram, OptError> {
-        self.optimize_with_cache(module, None)
-    }
-
-    /// [`optimize`](Pipeline::optimize), reusing memoized analysis
-    /// intermediates when a cache is supplied (see
-    /// [`AnalysisCache`]); the result is identical either way.
-    pub fn optimize_with_cache(
-        &self,
-        module: &Module,
-        cache: Option<&AnalysisCache>,
-    ) -> Result<OptimizedProgram, OptError> {
         let prepared = self.transform.prepare(module)?;
         let profile = Profile::collect(&prepared, &self.profile);
         let trace = self.transform.trace(&profile);
         if trace.is_empty() {
             return Err(OptError::EmptyProfile);
         }
-        let hot = match cache {
-            Some(c) => self.model.sequence_cached(trace, c),
-            None => self.model.sequence(trace),
-        };
+        let hot = self.model.sequence(trace);
         let layout = self.transform.realize(&prepared, &hot)?;
         if clop_verify::verify_enabled() {
             let mut report = clop_verify::verify_module(&prepared);
@@ -323,10 +291,10 @@ impl Pipeline {
     }
 }
 
-/// Model and transform parameters a registry builder may draw from.
+/// Model and transform parameters a pipeline may draw from.
 ///
-/// Carrying all parameter families here keeps builders uniform: callers
-/// configure one struct and any registered pipeline picks the pieces it
+/// Carrying all parameter families here keeps construction uniform:
+/// callers configure one struct and each pipeline picks the pieces it
 /// understands (exactly how [`crate::Optimizer`]'s public fields behave).
 #[derive(Clone, Debug)]
 pub struct PipelineParams {
@@ -367,122 +335,49 @@ impl PipelineParams {
     }
 }
 
-/// Builds a [`Pipeline`] from parameters.
-pub type PipelineBuilder = Box<dyn Fn(&PipelineParams) -> Pipeline + Send + Sync>;
-
-/// A name → pipeline-builder table.
-#[derive(Default)]
-pub struct PipelineRegistry {
-    entries: Vec<(String, PipelineBuilder)>,
+/// The locality model of a [`PAPER_PIPELINES`] row.
+#[derive(Clone, Copy)]
+enum Model {
+    Affinity,
+    Trg,
 }
 
-impl PipelineRegistry {
-    /// An empty registry.
-    pub fn new() -> PipelineRegistry {
-        PipelineRegistry::default()
-    }
+/// The paper's four pipelines (§II-F), in the order
+/// [`registered_pipelines`] lists them: each name is
+/// `"<transform>-<model>"`.
+const PAPER_PIPELINES: [(&str, Model, Granularity); 4] = [
+    ("function-affinity", Model::Affinity, Granularity::Function),
+    ("bb-affinity", Model::Affinity, Granularity::BasicBlock),
+    ("function-trg", Model::Trg, Granularity::Function),
+    ("bb-trg", Model::Trg, Granularity::BasicBlock),
+];
 
-    /// A registry pre-populated with the paper's four optimizers.
-    pub fn with_paper_pipelines() -> PipelineRegistry {
-        let mut reg = PipelineRegistry::new();
-        let combos: [(&str, bool); 4] = [
-            ("function-affinity", false),
-            ("bb-affinity", true),
-            ("function-trg", false),
-            ("bb-trg", true),
-        ];
-        for (name, is_bb) in combos {
-            let is_affinity = name.ends_with("affinity");
-            reg.register(name, move |p: &PipelineParams| {
-                let model: Arc<dyn LocalityModel> = if is_affinity {
-                    Arc::new(WWindowAffinity {
-                        config: p.affinity,
-                        jobs: p.jobs,
-                    })
-                } else {
-                    Arc::new(TrgModel {
-                        config: p.trg,
-                        jobs: p.jobs,
-                    })
-                };
-                let transform: Arc<dyn Transform> = if is_bb {
-                    Arc::new(BbReorder)
-                } else {
-                    Arc::new(FunctionReorder)
-                };
-                Pipeline::new(model, transform, p.profile)
-            });
-        }
-        reg
-    }
-
-    /// Register a builder under `name`, replacing any existing entry.
-    pub fn register(
-        &mut self,
-        name: &str,
-        builder: impl Fn(&PipelineParams) -> Pipeline + Send + Sync + 'static,
-    ) {
-        if let Some(slot) = self.entries.iter_mut().find(|(n, _)| n == name) {
-            slot.1 = Box::new(builder);
-        } else {
-            self.entries.push((name.to_string(), Box::new(builder)));
-        }
-    }
-
-    /// Build the pipeline registered under `name`. The pipeline's recorded
-    /// name is the registry key.
-    pub fn build(&self, name: &str, params: &PipelineParams) -> Option<Pipeline> {
-        self.entries.iter().find(|(n, _)| n == name).map(|(n, b)| {
-            let mut p = b(params);
-            p.name = n.clone();
-            p
-        })
-    }
-
-    /// Registered names, in registration order.
-    pub fn names(&self) -> Vec<String> {
-        self.entries.iter().map(|(n, _)| n.clone()).collect()
-    }
-}
-
-fn global_registry() -> &'static RwLock<PipelineRegistry> {
-    static REGISTRY: OnceLock<RwLock<PipelineRegistry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| RwLock::new(PipelineRegistry::with_paper_pipelines()))
-}
-
-/// Register a pipeline builder in the process-global registry.
-///
-/// This is the extension point for fifth+ models: register once at startup
-/// and every dispatch-by-name site (CLI, experiments, [`crate::Optimizer`])
-/// can build the new pipeline without modification.
-pub fn register_pipeline(
-    name: &str,
-    builder: impl Fn(&PipelineParams) -> Pipeline + Send + Sync + 'static,
-) {
-    // Poison-tolerant: a panic in a supervised experiment job between
-    // lock and unlock cannot leave the registry in a torn state (every
-    // mutation is a single Vec operation), so keep serving it.
-    global_registry()
-        .write()
-        .unwrap_or_else(|e| e.into_inner())
-        .register(name, builder);
-}
-
-/// Build a pipeline by name from the process-global registry (the four
-/// paper optimizers plus anything added via [`register_pipeline`]).
+/// Build the named pipeline; `None` for a name outside the table.
 pub fn build_pipeline(name: &str, params: &PipelineParams) -> Option<Pipeline> {
-    global_registry()
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .build(name, params)
+    let &(_, model, granularity) = PAPER_PIPELINES.iter().find(|(n, ..)| *n == name)?;
+    let model: Arc<dyn LocalityModel> = match model {
+        Model::Affinity => Arc::new(WWindowAffinity {
+            config: params.affinity,
+            jobs: params.jobs,
+        }),
+        Model::Trg => Arc::new(TrgModel {
+            config: params.trg,
+            jobs: params.jobs,
+        }),
+    };
+    let transform: Arc<dyn Transform> = match granularity {
+        Granularity::Function => Arc::new(FunctionReorder),
+        Granularity::BasicBlock => Arc::new(BbReorder),
+    };
+    Some(Pipeline::new(model, transform, params.profile))
 }
 
-/// Names registered in the process-global registry.
+/// The pipeline names [`build_pipeline`] accepts, in table order.
 pub fn registered_pipelines() -> Vec<String> {
-    global_registry()
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .names()
+    PAPER_PIPELINES
+        .iter()
+        .map(|(n, ..)| n.to_string())
+        .collect()
 }
 
 #[cfg(test)]
@@ -503,9 +398,15 @@ mod tests {
 
     #[test]
     fn paper_registry_has_all_four_names() {
-        let names = registered_pipelines();
-        for name in ["function-affinity", "bb-affinity", "function-trg", "bb-trg"] {
-            assert!(names.iter().any(|n| n == name), "missing {}", name);
+        let names = ["function-affinity", "bb-affinity", "function-trg", "bb-trg"];
+        assert_eq!(registered_pipelines(), names);
+        let params = PipelineParams::for_granularity(Granularity::Function);
+        for name in names {
+            let pipe = build_pipeline(name, &params).unwrap();
+            assert_eq!(pipe.name, name);
+            let (transform, model) = name.split_once('-').unwrap();
+            assert_eq!(pipe.model.name(), model, "{}", name);
+            assert_eq!(pipe.transform.name(), transform, "{}", name);
         }
     }
 
@@ -523,40 +424,6 @@ mod tests {
     fn unknown_name_is_none() {
         let params = PipelineParams::for_granularity(Granularity::Function);
         assert!(build_pipeline("no-such-pipeline", &params).is_none());
-    }
-
-    #[test]
-    fn fifth_model_registers_without_touching_dispatch() {
-        // A trivial "reverse hotness" model: place profiled units in
-        // reverse first-touch order. Registering it makes it buildable by
-        // name with zero edits anywhere else.
-        struct ReverseModel;
-        impl LocalityModel for ReverseModel {
-            fn name(&self) -> &str {
-                "reverse"
-            }
-            fn sequence(&self, trace: &TrimmedTrace) -> Vec<BlockId> {
-                let mut seen = Vec::new();
-                for e in trace.iter() {
-                    if !seen.contains(&e) {
-                        seen.push(e);
-                    }
-                }
-                seen.reverse();
-                seen
-            }
-        }
-        register_pipeline("function-reverse", |p| {
-            Pipeline::new(Arc::new(ReverseModel), Arc::new(FunctionReorder), p.profile)
-        });
-        let m = small_module();
-        let params = PipelineParams::for_granularity(Granularity::Function);
-        let opt = build_pipeline("function-reverse", &params)
-            .unwrap()
-            .optimize(&m)
-            .unwrap();
-        assert_eq!(opt.name, "function-reverse");
-        assert!(opt.layout.is_permutation_of(&opt.module));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   layout, and order all candidates (plus the original layout) by
 //!   predicted score — the static mirror of the simulated ranking an
 //!   [`crate::OptimizationReport`] sweep would produce. Cross-validated by
-//!   the `exp_static_rank` experiment (Spearman gate).
+//!   the `static_rank` experiment (Spearman gate).
 //! * [`prefilter_pipelines`]: the pre-filter hook — keep only the top-k
 //!   statically ranked pipelines, so downstream simulation spends its
 //!   budget on candidates the static model already likes.
