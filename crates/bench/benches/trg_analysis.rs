@@ -1,10 +1,18 @@
 //! TRG construction and reduction throughput across trace lengths, window
-//! sizes and slot counts (paper complexity: O(N·Q) construction, up to
-//! O(N³) reduction).
+//! sizes and slot counts (paper complexity: O(N·Q) construction; the
+//! reduction sorts the E edges once and places each of the B blocks once,
+//! O(E log E + E + B·K)).
+//!
+//! The `gcc_bb_test` rows build and reduce the real 403.gcc basic-block
+//! graph of the test-input profile under the `bb-trg` pipeline's geometry
+//! (60k events, 682 blocks, ~173k edges), at full size in quick mode too:
+//! `ci/bench_gate.sh` holds reduce to at most the cost of build on it.
 
-use clop_trace::TrimmedTrace;
+use clop_core::{preprocess_for_bb_reordering, PipelineParams, Profile, ProfileConfig};
+use clop_trace::{Granularity, TrimmedTrace};
 use clop_trg::{reduce, Trg, TrgConfig};
 use clop_util::bench::{quick, Runner};
+use clop_workloads::{primary_program, PrimaryBenchmark};
 
 fn synthetic_trace(len: usize, blocks: u32) -> TrimmedTrace {
     let mut state = 0xD1B54A32D192ED03u64;
@@ -57,4 +65,21 @@ fn main() {
     r.bench("trg/layout_default", || {
         clop_trg::trg_layout(&trace, TrgConfig::default())
     });
+
+    {
+        let w = primary_program(PrimaryBenchmark::Gcc);
+        let prepared = preprocess_for_bb_reordering(&w.module)
+            .unwrap_or_else(|e| panic!("403.gcc supports BB reordering: {}", e));
+        let trace = Profile::collect(&prepared, &ProfileConfig::with_exec(w.test_exec)).bb_trace;
+        let config = PipelineParams::for_granularity(Granularity::BasicBlock).trg;
+        let trg = Trg::build(&trace, config.window);
+        r.bench_with_elements("trg/build/gcc_bb_test", Some(trace.len() as u64), || {
+            Trg::build(&trace, config.window)
+        });
+        r.bench_with_elements(
+            "trg/reduce/gcc_bb_test",
+            Some(trg.num_edges() as u64),
+            || reduce(&trg, config.slots, &trace),
+        );
+    }
 }

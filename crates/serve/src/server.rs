@@ -492,20 +492,20 @@ fn cmd_shard(
 /// `kill -9`. Serialization and the checkpoint write stay inside the
 /// state lock: two concurrent folds of one version must not publish
 /// their snapshots out of order, or an acked shard could vanish from the
-/// file that resume reads.
+/// file that resume reads. As in the batch fold, the shard counts as
+/// settled only after the GC pass.
 fn fold_durably(shared: &Arc<Shared>, version: &str, shard: &ShardFile) -> Result<(), String> {
     IngestStats::bump(&shared.stats.enqueued);
     touch_ingest(shared, version);
     let arc = shared.store.state(version, shared.config.params);
-    let outcome = {
+    let (settled, outcome) = {
         let mut st = lock(&arc);
         if shared.config.fold_delay_ms > 0 {
             std::thread::sleep(Duration::from_millis(shared.config.fold_delay_ms));
         }
         match st.absorb_shard(shard) {
             Ok(true) => {
-                IngestStats::bump(&shared.stats.folded);
-                if let Some(dir) = &shared.config.checkpoint_dir {
+                let outcome = if let Some(dir) = &shared.config.checkpoint_dir {
                     let bytes = st.to_bytes();
                     lock(&shared.state_sizes).insert(version.to_string(), bytes.len() as u64);
                     match checkpoint::checkpoint_bytes(dir, version, &bytes) {
@@ -517,19 +517,15 @@ fn fold_durably(shared: &Arc<Shared>, version: &str, shard: &ShardFile) -> Resul
                     }
                 } else {
                     Ok(())
-                }
+                };
+                (&shared.stats.folded, outcome)
             }
-            Ok(false) => {
-                IngestStats::bump(&shared.stats.duplicates);
-                Ok(())
-            }
-            Err(e) => {
-                IngestStats::bump(&shared.stats.fold_errors);
-                Err(format!("fold: {}", e))
-            }
+            Ok(false) => (&shared.stats.duplicates, Ok(())),
+            Err(e) => (&shared.stats.fold_errors, Err(format!("fold: {}", e))),
         }
     };
     run_gc(shared, version);
+    IngestStats::settle(settled, 1);
     outcome
 }
 
@@ -669,7 +665,9 @@ fn worker_loop(shared: &Arc<Shared>, rx: &Arc<Mutex<Receiver<Job>>>) {
 
 /// Absorb one drained batch, grouped by version so each version's state
 /// lock is taken once per batch. Every folded version runs a GC pass
-/// afterwards with itself as the protected active version.
+/// afterwards with itself as the protected active version. A group's
+/// shards count as settled only after its checkpoint write and GC pass,
+/// so a `SYNC` that returns has seen both.
 fn fold_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
     let mut groups: Vec<(String, Vec<ShardFile>)> = Vec::new();
     for job in batch {
@@ -682,6 +680,7 @@ fn fold_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
         let arc = shared.store.state(&version, shared.config.params);
         touch_ingest(shared, &version);
         let mut snapshot: Option<Vec<u8>> = None;
+        let (mut folded, mut duplicates, mut fold_errors) = (0, 0, 0);
         {
             let mut st = lock(&arc);
             for shard in &shards {
@@ -690,7 +689,7 @@ fn fold_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
                 }
                 match st.absorb_shard(shard) {
                     Ok(true) => {
-                        IngestStats::bump(&shared.stats.folded);
+                        folded += 1;
                         if shared.config.checkpoint_dir.is_some() {
                             let mut dirty = lock(&shared.dirty);
                             let n = dirty.entry(version.clone()).or_insert(0);
@@ -702,12 +701,12 @@ fn fold_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
                             }
                         }
                     }
-                    Ok(false) => IngestStats::bump(&shared.stats.duplicates),
+                    Ok(false) => duplicates += 1,
                     Err(e) => {
                         // Unreachable when deltas are measured at this
                         // state's own parameters; counted so the SYNC
                         // barrier still settles.
-                        IngestStats::bump(&shared.stats.fold_errors);
+                        fold_errors += 1;
                         eprintln!("clop-serve: fold of shard into {} failed: {}", version, e);
                     }
                 }
@@ -729,6 +728,9 @@ fn fold_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
             }
         }
         run_gc(shared, &version);
+        IngestStats::settle(&shared.stats.folded, folded);
+        IngestStats::settle(&shared.stats.duplicates, duplicates);
+        IngestStats::settle(&shared.stats.fold_errors, fold_errors);
     }
 }
 

@@ -106,13 +106,21 @@ impl IngestStats {
         });
     }
 
+    /// Count `n` shards as settled under `counter` (`folded`,
+    /// `duplicates` or `fold_errors`). The `Release` pairs with the
+    /// `Acquire` loads of [`IngestStats::settled`], so a `SYNC` that sees
+    /// the count also sees the fold, checkpoint and GC work done before it.
+    pub fn settle(counter: &AtomicU64, n: u64) {
+        counter.fetch_add(n, Ordering::Release);
+    }
+
     /// Shards whose admission outcome is settled past the queue: folded,
     /// recognized as duplicates, or failed to fold. The `SYNC` barrier
     /// waits for this to catch up with `enqueued`.
     pub fn settled(&self) -> u64 {
-        self.folded.load(Ordering::Relaxed)
-            + self.duplicates.load(Ordering::Relaxed)
-            + self.fold_errors.load(Ordering::Relaxed)
+        self.folded.load(Ordering::Acquire)
+            + self.duplicates.load(Ordering::Acquire)
+            + self.fold_errors.load(Ordering::Acquire)
     }
 }
 

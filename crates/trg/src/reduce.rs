@@ -14,24 +14,33 @@
 //! interleaving the slots so that consecutive output blocks land in
 //! different cache-set regions.
 //!
-//! Heaviest-first selection is a *lazy* max-heap over `(weight, rank)`
-//! keys, validated against the authoritative weight map on pop: a live
-//! edge's weight only ever grows (each growth pushes a fresh entry) until
-//! the edge is deleted outright, and deleted edges never come back — so a
-//! popped entry is current iff its weight matches the map exactly, and
-//! stale entries are simply discarded. Adjacency lists are append-only for
-//! the same reason: a stale partner fails the weight-map lookup and is
-//! skipped, which removes the O(degree²) retain/contains maintenance the
-//! scan-based selection needed. Selection drops from O(E) per placement to
-//! O(log E) amortized without changing a single tie-break (the rank key
-//! reproduces the scan's deterministic ordering exactly).
+//! Every block is renumbered by its dense first-appearance *rank*, and the
+//! whole selection order is one packed `u128` key per edge: weight (max
+//! first), then the smaller and the larger endpoint rank (min first), with
+//! slots ranking after every block. The working graph never materializes;
+//! three invariants of the algorithm replace it with flat arrays:
 //!
-//! Blocks that never appear in any edge (no conflicts) are appended to the
-//! shortest slot lists in first-appearance order before emission.
+//! 1. **Block–block weights are fixed.** Such an edge keeps its TRG weight
+//!    while it lives and dies when either endpoint is placed. The edges
+//!    are sorted by key once and consumed from the heaviest end; an edge
+//!    is live iff both endpoints are unplaced — two array loads.
+//! 2. **Only one slot edge per block can win.** Slot–block weights live in
+//!    a dense `rank × slot` table and only grow. Of one block's slot edges
+//!    only the best (max weight, then lowest slot) can be selected, so the
+//!    lazy heap holds one entry per *improvement* of a block's best edge,
+//!    and a popped entry is current iff its block is unplaced and it still
+//!    is that block's best. The heap top and the heaviest live block–block
+//!    edge are merged by key.
+//! 3. **Every selected edge places a block.** A live edge always has an
+//!    unplaced endpoint that has edges, so the loop stops as soon as the
+//!    last such block is placed, leaving the stale tail unvisited.
+//!
+//! Blocks with no edges (no conflicts) are the unplaced ranks once the
+//! loop ends; they are appended to the shortest slot lists in rank order
+//! before emission.
 
 use crate::graph::Trg;
 use clop_trace::{BlockId, TraceStats, TrimmedTrace};
-use clop_util::FxHashMap;
 use std::collections::BinaryHeap;
 
 /// Result of a TRG reduction.
@@ -43,68 +52,33 @@ pub struct SlotAssignment {
     pub sequence: Vec<BlockId>,
 }
 
-/// Working-graph entity: an unplaced block or a slot supernode.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
-enum Ent {
-    Block(u32),
-    Slot(u32),
-}
-
-/// Tag bit separating slot packed keys from block packed keys. Blocks
-/// carry their first-appearance rank (tag 0, so blocks order before
-/// slots, matching the `(0, rank) < (1, slot)` [`RankKey`] ordering).
+/// Tag bit of a slot's packed rank: slots order after every block rank
+/// (a graph would need 2³¹ distinct blocks to collide).
 const SLOT_TAG: u32 = 1 << 31;
 
-/// Lazy-heap entry, the whole selection order in one integer so a heap
-/// sift is a single `u128` compare on a 16-byte element: weight in the
-/// high 64 bits (max first), then the scan ordering's tie-breaks — the
-/// *inverted* packed min-rank and max-rank, so smaller ranks win. The
-/// rank pair identifies the edge uniquely, and the entities are decoded
-/// back out of it on pop.
-type HeapEntry = u128;
-
-fn key(a: Ent, b: Ent) -> (Ent, Ent) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
+/// Selection key of an edge between packed ranks `lo < hi`: weight in the
+/// high 64 bits, then the *inverted* ranks, so that the maximum key is the
+/// heaviest edge with the lowest ranks.
+fn edge_key(w: u64, lo: u32, hi: u32) -> u128 {
+    ((w as u128) << 64) | ((!lo as u128) << 32) | (!hi as u128)
 }
 
-/// Packed rank of an entity (must fit 31 bits; the graph would need 2³¹
-/// distinct blocks to overflow).
-fn packed_rank(e: Ent, rank: &FxHashMap<u32, usize>) -> u32 {
-    match e {
-        Ent::Block(x) => {
-            let r = rank.get(&x).copied().unwrap_or(usize::MAX);
-            debug_assert!(r < SLOT_TAG as usize || r == usize::MAX);
-            (r as u32) & !SLOT_TAG
-        }
-        Ent::Slot(s) => SLOT_TAG | s,
-    }
-}
-
-fn unpack_ent(k: u32, id_by_rank: &[u32]) -> Ent {
-    if k & SLOT_TAG != 0 {
-        Ent::Slot(k & !SLOT_TAG)
-    } else {
-        Ent::Block(id_by_rank[k as usize])
-    }
-}
-
-fn heap_entry(a: Ent, b: Ent, w: u64, rank: &FxHashMap<u32, usize>) -> HeapEntry {
-    let (ra, rb) = (packed_rank(a, rank), packed_rank(b, rank));
-    let (kmin, kmax) = (ra.min(rb), ra.max(rb));
-    ((w as u128) << 64) | ((!kmin as u128) << 32) | (!kmax as u128)
+/// The `(weight, lo, hi)` an [`edge_key`] packs.
+fn unpack(key: u128) -> (u64, u32, u32) {
+    ((key >> 64) as u64, !((key >> 32) as u32), !(key as u32))
 }
 
 /// Run Algorithm 2 with `k` slots. The trace supplies the deterministic
 /// first-appearance order used for conflict-free blocks and tie-breaks.
 pub fn reduce(trg: &Trg, k: usize, trace: &TrimmedTrace) -> SlotAssignment {
-    let mut seen: FxHashMap<u32, ()> = FxHashMap::default();
+    let mut seen: Vec<bool> = Vec::new();
     let mut order: Vec<BlockId> = Vec::new();
     for b in trace.iter() {
-        if seen.insert(b.0, ()).is_none() {
+        if b.index() >= seen.len() {
+            seen.resize(b.index() + 1, false);
+        }
+        if !seen[b.index()] {
+            seen[b.index()] = true;
             order.push(b);
         }
     }
@@ -125,101 +99,148 @@ pub fn reduce_from_stats(trg: &Trg, k: usize, stats: &TraceStats) -> SlotAssignm
 fn reduce_ordered(trg: &Trg, k: usize, order: &[BlockId]) -> SlotAssignment {
     let k = k.max(1);
 
-    // First-appearance rank for deterministic tie-breaking, with the
-    // inverse table used to decode packed heap entries.
-    let mut rank: FxHashMap<u32, usize> = FxHashMap::default();
-    let mut id_by_rank: Vec<u32> = Vec::new();
-    for b in order {
-        rank.entry(b.0).or_insert_with(|| {
-            id_by_rank.push(b.0);
-            id_by_rank.len() - 1
-        });
-    }
-    for n in trg.nodes() {
-        rank.entry(n.0).or_insert_with(|| {
-            id_by_rank.push(n.0);
-            id_by_rank.len() - 1
-        });
-    }
-
-    // Working graph over entities.
-    let mut weights: FxHashMap<(Ent, Ent), u64> = FxHashMap::default();
-    let mut adj: FxHashMap<Ent, Vec<Ent>> = FxHashMap::default();
-    for (x, y, w) in trg.edges() {
-        let (a, b) = (Ent::Block(x.0), Ent::Block(y.0));
-        weights.insert(key(a, b), w);
-        adj.entry(a).or_default().push(b);
-        adj.entry(b).or_default().push(a);
-    }
-    let mut heap: BinaryHeap<HeapEntry> = weights
+    // Dense ranks: first appearance in the trace, then TRG nodes the trace
+    // lacks. Block ids index the rank table directly, as in `Trg::build`;
+    // every edge endpoint is a node.
+    let table_len = order
         .iter()
-        .map(|(&(a, b), &w)| heap_entry(a, b, w, &rank))
-        .collect();
+        .chain(trg.nodes())
+        .map(|b| b.index() + 1)
+        .max()
+        .unwrap_or(0);
+    let mut rank_of = vec![u32::MAX; table_len];
+    let mut ids: Vec<BlockId> = Vec::new();
+    for &b in order.iter().chain(trg.nodes()) {
+        if rank_of[b.index()] == u32::MAX {
+            rank_of[b.index()] = ids.len() as u32;
+            ids.push(b);
+        }
+    }
+    let n = ids.len();
+
+    // Block–block edges sorted by key, so the next candidate is the last
+    // live one (invariant 1), and the same edges as CSR adjacency over
+    // ranks.
+    let mut keys: Vec<u128> = Vec::with_capacity(trg.num_edges());
+    let mut start = vec![0usize; n + 1];
+    for (x, y, w) in trg.edges() {
+        let (rx, ry) = (rank_of[x.index()], rank_of[y.index()]);
+        start[rx as usize + 1] += 1;
+        start[ry as usize + 1] += 1;
+        keys.push(edge_key(w, rx.min(ry), rx.max(ry)));
+    }
+    keys.sort_unstable();
+    for r in 0..n {
+        start[r + 1] += start[r];
+    }
+    let mut fill = start.clone();
+    let mut adj: Vec<(u32, u64)> = vec![(0, 0); 2 * keys.len()];
+    for &key in &keys {
+        let (w, lo, hi) = unpack(key);
+        for (a, b) in [(lo, hi), (hi, lo)] {
+            adj[fill[a as usize]] = (b, w);
+            fill[a as usize] += 1;
+        }
+    }
+    let mut unplaced_with_edges = (0..n).filter(|&r| start[r + 1] > start[r]).count();
+
+    // Slot–block weights (invariant 2). Slots fill in index order while
+    // any is empty, so no edge ever reaches a slot at index >= n.
+    let cols = k.min(n);
+    let mut slot_w: Vec<Option<u64>> = vec![None; n * cols];
+    let mut best = vec![0u128; n]; // 0: no slot edge yet
+    let mut heap: BinaryHeap<u128> = BinaryHeap::new();
 
     let mut slots: Vec<Vec<BlockId>> = vec![Vec::new(); k];
-    let mut placed: FxHashMap<u32, u32> = FxHashMap::default(); // block → slot
+    let mut placed = vec![false; n];
+    let mut filled = 0usize; // slots[..filled] are the non-empty ones
 
-    // Heaviest-first edge processing with deterministic tie-breaks. A
-    // popped entry is current iff the map still holds exactly its weight
-    // (weights only grow while live, and each growth pushed a fresh
-    // entry); anything else is stale and skipped. A current edge always
-    // has an unplaced block endpoint — placement deletes all of a block's
-    // edges, and slot–slot edges are never created.
-    while let Some(entry) = heap.pop() {
-        let w = (entry >> 64) as u64;
-        let a = unpack_ent(!((entry >> 32) as u32), &id_by_rank);
-        let b = unpack_ent(!(entry as u32), &id_by_rank);
-        if weights.get(&key(a, b)) != Some(&w) {
-            continue;
+    while unplaced_with_edges > 0 {
+        while let Some(&key) = keys.last() {
+            let (_, lo, hi) = unpack(key);
+            if !placed[lo as usize] && !placed[hi as usize] {
+                break;
+            }
+            keys.pop();
         }
-
-        // The packed entry already orders the endpoints by rank
-        // (first-appearance first); place each unplaced block endpoint.
-        for e in [a, b] {
-            let Ent::Block(x) = e else { continue };
-            if placed.contains_key(&x) {
+        while let Some(&top) = heap.peek() {
+            let (_, r, _) = unpack(top);
+            if !placed[r as usize] && best[r as usize] == top {
+                break;
+            }
+            heap.pop();
+        }
+        let edge = keys.last().copied().unwrap_or(0);
+        let slot_edge = heap.peek().copied().unwrap_or(0);
+        if edge == 0 && slot_edge == 0 {
+            break; // unreachable: a placeable block always has a live edge
+        }
+        // A block–block edge places both endpoints, smaller rank first; a
+        // slot edge places its block.
+        let (_, lo, hi) = unpack(edge.max(slot_edge));
+        if edge > slot_edge {
+            keys.pop();
+        } else {
+            heap.pop();
+        }
+        for r in [lo, hi] {
+            if r & SLOT_TAG != 0 || placed[r as usize] {
                 continue;
             }
-            place_block(
-                x,
-                &mut weights,
-                &mut adj,
-                &mut heap,
-                &mut slots,
-                &mut placed,
-                &rank,
-            );
+            let x = r as usize;
+
+            // First empty slot, else the least-conflict slot among those x
+            // has an edge to, else (all its conflicts consumed) the
+            // shortest slot.
+            let si = if filled < k {
+                filled += 1;
+                filled - 1
+            } else {
+                let row = &slot_w[x * cols..(x + 1) * cols];
+                let mut least: Option<(u64, usize)> = None;
+                for (s, w) in row.iter().enumerate() {
+                    if let Some(w) = *w {
+                        if least.is_none_or(|(lw, _)| w < lw) {
+                            least = Some((w, s));
+                        }
+                    }
+                }
+                least.map_or_else(|| shortest(&slots), |(_, s)| s)
+            };
+            slots[si].push(ids[x]);
+            placed[x] = true;
+            unplaced_with_edges -= 1;
+
+            // Merge x into the slot supernode: its weight to each unplaced
+            // partner moves onto that partner's edge to the slot.
+            for &(p, w) in &adj[start[x]..start[x + 1]] {
+                let p = p as usize;
+                if placed[p] {
+                    continue;
+                }
+                let cell = &mut slot_w[p * cols + si];
+                let merged = cell.unwrap_or(0) + w;
+                *cell = Some(merged);
+                let key = edge_key(merged, p as u32, SLOT_TAG | si as u32);
+                if key > best[p] {
+                    best[p] = key;
+                    heap.push(key);
+                }
+            }
         }
     }
 
     // Conflict-free blocks: append to the currently shortest slots in
-    // first-appearance order.
-    let mut leftovers: Vec<BlockId> = trg
-        .nodes()
-        .iter()
-        .copied()
-        .filter(|n| !placed.contains_key(&n.0))
-        .collect();
-    for &b in order {
-        if !placed.contains_key(&b.0) && !leftovers.contains(&b) {
-            leftovers.push(b);
+    // rank order.
+    for (r, &b) in ids.iter().enumerate() {
+        if !placed[r] {
+            let si = shortest(&slots);
+            slots[si].push(b);
         }
-    }
-    leftovers.sort_by_key(|b| rank[&b.0]);
-    for b in leftovers {
-        // `k >= 1` slots exist, so the fold always selects one.
-        let si = slots
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, s)| (s.len(), *i))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        slots[si].push(b);
-        placed.insert(b.0, si as u32);
     }
 
     // Round-robin emission.
-    let mut sequence = Vec::with_capacity(placed.len());
+    let mut sequence = Vec::with_capacity(n);
     let mut cursors = vec![0usize; k];
     loop {
         let mut emitted = false;
@@ -238,86 +259,39 @@ fn reduce_ordered(trg: &Trg, k: usize, order: &[BlockId]) -> SlotAssignment {
     SlotAssignment { slots, sequence }
 }
 
-/// Place one block per Algorithm 2 steps 4–22.
-fn place_block(
-    x: u32,
-    weights: &mut FxHashMap<(Ent, Ent), u64>,
-    adj: &mut FxHashMap<Ent, Vec<Ent>>,
-    heap: &mut BinaryHeap<HeapEntry>,
-    slots: &mut [Vec<BlockId>],
-    placed: &mut FxHashMap<u32, u32>,
-    rank: &FxHashMap<u32, usize>,
-) {
-    let e = Ent::Block(x);
-
-    // Choose a slot: first empty, else the minimum-conflict slot among
-    // those this block has an edge to.
-    let mut chosen: Option<usize> = None;
-    for (i, s) in slots.iter().enumerate() {
-        if s.is_empty() {
-            chosen = Some(i);
-            break;
-        }
-    }
-    if chosen.is_none() {
-        let mut best_w = u64::MAX;
-        for i in 0..slots.len() {
-            if let Some(&w) = weights.get(&key(e, Ent::Slot(i as u32))) {
-                if w < best_w {
-                    best_w = w;
-                    chosen = Some(i);
-                }
-            }
-        }
-    }
-    // A block reached from an edge always conflicts with something; if all
-    // its conflicts were already consumed, fall back to the shortest slot.
-    let si = chosen.unwrap_or_else(|| {
-        // `k >= 1` slots exist, so the fold always selects one.
-        slots
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, s)| (s.len(), *i))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
-    });
-
-    slots[si].push(BlockId(x));
-    placed.insert(x, si as u32);
-    let slot_ent = Ent::Slot(si as u32);
-
-    // Merge x into the slot supernode: re-point x's edges; edges to other
-    // slots are dropped (different slots no longer conflict); edges to the
-    // chosen slot's supernode disappear in the merge. Adjacency lists may
-    // hold stale or duplicate partners — the weight-map removal is the
-    // authority, so those simply skip.
-    let partners = adj.remove(&e).unwrap_or_default();
-    for p in partners {
-        let Some(w) = weights.remove(&key(e, p)) else {
-            continue;
-        };
-        match p {
-            Ent::Slot(_) => {
-                // Either the chosen slot (merged away) or another slot
-                // (conflict removed). Nothing survives.
-            }
-            Ent::Block(_) => {
-                let k2 = key(slot_ent, p);
-                let merged = weights.entry(k2).or_insert(0);
-                *merged += w;
-                heap.push(heap_entry(slot_ent, p, *merged, rank));
-                adj.entry(p).or_default().push(slot_ent);
-            }
-        }
-    }
+/// Index of the shortest slot, lowest index on ties.
+fn shortest(slots: &[Vec<BlockId>]) -> usize {
+    slots
+        .iter()
+        .enumerate()
+        .min_by_key(|(i, s)| (s.len(), *i))
+        .map_or(0, |(i, _)| i)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clop_util::check::check;
+    use clop_util::{FxHashMap, Rng};
 
     fn b(i: u32) -> BlockId {
         BlockId(i)
+    }
+
+    /// Working-graph entity of the oracles below: an unplaced block or a
+    /// slot supernode.
+    #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
+    enum Ent {
+        Block(u32),
+        Slot(u32),
+    }
+
+    fn key(a: Ent, b: Ent) -> (Ent, Ent) {
+        if a <= b {
+            (a, b)
+        } else {
+            (b, a)
+        }
     }
 
     /// The scan comparator's tie-break key (pre-packing form: slot and
@@ -329,6 +303,199 @@ mod tests {
             Ent::Block(x) => (0, rank.get(&x).copied().unwrap_or(usize::MAX)),
             Ent::Slot(s) => (1, s as usize),
         }
+    }
+
+    /// Lazy-heap oracle entry: weight, then the inverted packed min and
+    /// max ranks (blocks by rank, slots tagged after every block).
+    fn heap_entry(a: Ent, b: Ent, w: u64, rank: &FxHashMap<u32, usize>) -> u128 {
+        let packed = |e: Ent| match e {
+            Ent::Block(x) => rank[&x] as u32,
+            Ent::Slot(s) => (1 << 31) | s,
+        };
+        let (ra, rb) = (packed(a), packed(b));
+        ((w as u128) << 64) | ((!ra.min(rb) as u128) << 32) | (!ra.max(rb) as u128)
+    }
+
+    fn unpack_ent(k: u32, id_by_rank: &[u32]) -> Ent {
+        if k & (1 << 31) != 0 {
+            Ent::Slot(k & !(1 << 31))
+        } else {
+            Ent::Block(id_by_rank[k as usize])
+        }
+    }
+
+    /// First-appearance ranks of `order` then the TRG's nodes, with the
+    /// inverse table.
+    fn oracle_ranks(trg: &Trg, order: &[BlockId]) -> (FxHashMap<u32, usize>, Vec<u32>) {
+        let mut rank: FxHashMap<u32, usize> = FxHashMap::default();
+        let mut id_by_rank: Vec<u32> = Vec::new();
+        for x in order.iter().chain(trg.nodes()) {
+            rank.entry(x.0).or_insert_with(|| {
+                id_by_rank.push(x.0);
+                id_by_rank.len() - 1
+            });
+        }
+        (rank, id_by_rank)
+    }
+
+    /// The oracles' working graph: a weight map over entity pairs plus
+    /// append-only adjacency lists.
+    type Weights = FxHashMap<(Ent, Ent), u64>;
+    type Adjacency = FxHashMap<Ent, Vec<Ent>>;
+
+    fn oracle_graph(trg: &Trg) -> (Weights, Adjacency) {
+        let mut weights = Weights::default();
+        let mut adj = Adjacency::default();
+        for (x, y, w) in trg.edges() {
+            let (a, b) = (Ent::Block(x.0), Ent::Block(y.0));
+            weights.insert(key(a, b), w);
+            adj.entry(a).or_default().push(b);
+            adj.entry(b).or_default().push(a);
+        }
+        (weights, adj)
+    }
+
+    /// Place one block per Algorithm 2 steps 4–22 on the oracles' working
+    /// graph, pushing every grown slot edge onto `heap`.
+    fn oracle_place_block(
+        x: u32,
+        weights: &mut Weights,
+        adj: &mut Adjacency,
+        heap: &mut BinaryHeap<u128>,
+        slots: &mut [Vec<BlockId>],
+        placed: &mut FxHashMap<u32, u32>,
+        rank: &FxHashMap<u32, usize>,
+    ) {
+        let e = Ent::Block(x);
+        let mut chosen = slots.iter().position(Vec::is_empty);
+        if chosen.is_none() {
+            let mut best_w = u64::MAX;
+            for i in 0..slots.len() {
+                if let Some(&w) = weights.get(&key(e, Ent::Slot(i as u32))) {
+                    if w < best_w {
+                        best_w = w;
+                        chosen = Some(i);
+                    }
+                }
+            }
+        }
+        let si = chosen.unwrap_or_else(|| {
+            slots
+                .iter()
+                .enumerate()
+                .min_by_key(|(i, s)| (s.len(), *i))
+                .map_or(0, |(i, _)| i)
+        });
+        slots[si].push(BlockId(x));
+        placed.insert(x, si as u32);
+        let slot_ent = Ent::Slot(si as u32);
+        for p in adj.remove(&e).unwrap_or_default() {
+            let Some(w) = weights.remove(&key(e, p)) else {
+                continue;
+            };
+            if let Ent::Block(_) = p {
+                let merged = weights.entry(key(slot_ent, p)).or_insert(0);
+                *merged += w;
+                heap.push(heap_entry(slot_ent, p, *merged, rank));
+                adj.entry(p).or_default().push(slot_ent);
+            }
+        }
+    }
+
+    /// Leftover placement (TRG nodes and `order` blocks still unplaced,
+    /// by rank, each onto the shortest slot) and round-robin emission,
+    /// shared by the oracles.
+    fn oracle_finish(
+        trg: &Trg,
+        order: &[BlockId],
+        mut slots: Vec<Vec<BlockId>>,
+        placed: &FxHashMap<u32, u32>,
+        rank: &FxHashMap<u32, usize>,
+    ) -> SlotAssignment {
+        let mut leftovers: Vec<BlockId> = trg
+            .nodes()
+            .iter()
+            .copied()
+            .filter(|n| !placed.contains_key(&n.0))
+            .collect();
+        for &x in order {
+            if !placed.contains_key(&x.0) && !leftovers.contains(&x) {
+                leftovers.push(x);
+            }
+        }
+        leftovers.sort_by_key(|x| rank[&x.0]);
+        for x in leftovers {
+            let (si, _) = slots
+                .iter()
+                .enumerate()
+                .min_by_key(|(i, s)| (s.len(), *i))
+                .expect("k >= 1");
+            slots[si].push(x);
+        }
+        let mut sequence = Vec::new();
+        let mut cursors = vec![0usize; slots.len()];
+        loop {
+            let mut emitted = false;
+            for (s, cur) in cursors.iter_mut().enumerate() {
+                if *cur < slots[s].len() {
+                    sequence.push(slots[s][*cur]);
+                    *cur += 1;
+                    emitted = true;
+                }
+            }
+            if !emitted {
+                break;
+            }
+        }
+        SlotAssignment { slots, sequence }
+    }
+
+    /// Lazy-heap oracle (the hash-map implementation the dense reduction
+    /// replaced): every edge starts on a max-heap, each slot-edge growth
+    /// pushes a fresh entry, and a popped entry is current iff the weight
+    /// map still holds exactly its weight.
+    fn reduce_lazy_heap_oracle(trg: &Trg, k: usize, order: &[BlockId]) -> SlotAssignment {
+        let k = k.max(1);
+        let (rank, id_by_rank) = oracle_ranks(trg, order);
+        let (mut weights, mut adj) = oracle_graph(trg);
+        let mut heap: BinaryHeap<u128> = weights
+            .iter()
+            .map(|(&(a, b), &w)| heap_entry(a, b, w, &rank))
+            .collect();
+        let mut slots: Vec<Vec<BlockId>> = vec![Vec::new(); k];
+        let mut placed: FxHashMap<u32, u32> = FxHashMap::default();
+        while let Some(entry) = heap.pop() {
+            let w = (entry >> 64) as u64;
+            let a = unpack_ent(!((entry >> 32) as u32), &id_by_rank);
+            let b = unpack_ent(!(entry as u32), &id_by_rank);
+            if weights.get(&key(a, b)) != Some(&w) {
+                continue;
+            }
+            for e in [a, b] {
+                let Ent::Block(x) = e else { continue };
+                if placed.contains_key(&x) {
+                    continue;
+                }
+                oracle_place_block(
+                    x,
+                    &mut weights,
+                    &mut adj,
+                    &mut heap,
+                    &mut slots,
+                    &mut placed,
+                    &rank,
+                );
+            }
+        }
+        oracle_finish(trg, order, slots, &placed, &rank)
+    }
+
+    fn first_appearance(trace: &TrimmedTrace) -> Vec<BlockId> {
+        let mut seen: FxHashMap<u32, ()> = FxHashMap::default();
+        trace
+            .iter()
+            .filter(|x| seen.insert(x.0, ()).is_none())
+            .collect()
     }
 
     /// The paper's Figure 2 walk-through with 3 code slots. (The figure's
@@ -425,26 +592,13 @@ mod tests {
 
     /// Scan-based selection oracle (the pre-heap implementation): every
     /// iteration scans all live edges for the max under the same
-    /// tie-breaks. The lazy heap must reproduce its output exactly.
+    /// tie-breaks. The production reduction must reproduce its output
+    /// exactly.
     fn reduce_scan_oracle(trg: &Trg, k: usize, trace: &TrimmedTrace) -> SlotAssignment {
         let k = k.max(1);
-        let mut rank: FxHashMap<u32, usize> = FxHashMap::default();
-        for x in trace.iter() {
-            let next = rank.len();
-            rank.entry(x.0).or_insert(next);
-        }
-        for n in trg.nodes() {
-            let next = rank.len();
-            rank.entry(n.0).or_insert(next);
-        }
-        let mut weights: FxHashMap<(Ent, Ent), u64> = FxHashMap::default();
-        let mut adj: FxHashMap<Ent, Vec<Ent>> = FxHashMap::default();
-        for (x, y, w) in trg.edges() {
-            let (a, b) = (Ent::Block(x.0), Ent::Block(y.0));
-            weights.insert(key(a, b), w);
-            adj.entry(a).or_default().push(b);
-            adj.entry(b).or_default().push(a);
-        }
+        let order = first_appearance(trace);
+        let (rank, _) = oracle_ranks(trg, &order);
+        let (mut weights, mut adj) = oracle_graph(trg);
         let mut heap = BinaryHeap::new();
         let mut slots: Vec<Vec<BlockId>> = vec![Vec::new(); k];
         let mut placed: FxHashMap<u32, u32> = FxHashMap::default();
@@ -468,7 +622,7 @@ mod tests {
                 if placed.contains_key(&x) {
                     continue;
                 }
-                place_block(
+                oracle_place_block(
                     x,
                     &mut weights,
                     &mut adj,
@@ -479,45 +633,7 @@ mod tests {
                 );
             }
         }
-        let mut leftovers: Vec<BlockId> = trg
-            .nodes()
-            .iter()
-            .copied()
-            .filter(|n| !placed.contains_key(&n.0))
-            .collect();
-        let mut all_blocks: Vec<BlockId> = trace.distinct_blocks();
-        all_blocks.sort_by_key(|x| rank[&x.0]);
-        for x in all_blocks {
-            if !placed.contains_key(&x.0) && !leftovers.contains(&x) {
-                leftovers.push(x);
-            }
-        }
-        leftovers.sort_by_key(|x| rank[&x.0]);
-        for x in leftovers {
-            let (si, _) = slots
-                .iter()
-                .enumerate()
-                .min_by_key(|(i, s)| (s.len(), *i))
-                .expect("k >= 1");
-            slots[si].push(x);
-            placed.insert(x.0, si as u32);
-        }
-        let mut sequence = Vec::with_capacity(placed.len());
-        let mut cursors = vec![0usize; k];
-        loop {
-            let mut emitted = false;
-            for (s, cur) in cursors.iter_mut().enumerate() {
-                if *cur < slots[s].len() {
-                    sequence.push(slots[s][*cur]);
-                    *cur += 1;
-                    emitted = true;
-                }
-            }
-            if !emitted {
-                break;
-            }
-        }
-        SlotAssignment { slots, sequence }
+        oracle_finish(trg, &order, slots, &placed, &rank)
     }
 
     #[test]
@@ -539,6 +655,144 @@ mod tests {
                 let slow = reduce_scan_oracle(&trg, k, &trace);
                 assert_eq!(fast, slow, "seed {} window {} k {}", seed, window, k);
             }
+        }
+    }
+
+    /// The two oracles agree with each other (so a differential failure
+    /// below points at the production reduction, not at an oracle).
+    #[test]
+    fn oracles_agree() {
+        check("reduce_oracles_agree", |rng| {
+            let (trg, order) = random_graph(rng);
+            let k = [1, 2, 3, 128][rng.gen_index(4)];
+            let trace = TrimmedTrace::from_events(order.iter().copied());
+            assert_eq!(
+                reduce_lazy_heap_oracle(&trg, k, &first_appearance(&trace)),
+                reduce_scan_oracle(&trg, k, &trace),
+            );
+        });
+    }
+
+    /// A random graph over up to 40 blocks with a small weight range (so
+    /// ties are everywhere), zero-weight edges, isolated TRG nodes, TRG
+    /// nodes missing from the trace and trace blocks missing from the
+    /// graph. Returns the graph and a first-appearance order.
+    fn random_graph(rng: &mut Rng) -> (Trg, Vec<BlockId>) {
+        let universe = rng.gen_range_u32(1, 41);
+        let max_w = [1u64, 3, 50][rng.gen_index(3)];
+        let density = rng.gen_f64();
+        let mut edges: FxHashMap<(u32, u32), u64> = FxHashMap::default();
+        for x in 0..universe {
+            for y in x + 1..universe {
+                if rng.gen_bool(density * 0.5) {
+                    edges.insert((x, y), rng.gen_range_u64(0, max_w + 1));
+                }
+            }
+        }
+        let mut nodes: Vec<u32> = (0..universe).filter(|_| rng.gen_bool(0.9)).collect();
+        for &(x, y) in edges.keys() {
+            for v in [x, y] {
+                if !nodes.contains(&v) {
+                    nodes.push(v);
+                }
+            }
+        }
+        rng.shuffle(&mut nodes);
+        let mut order: Vec<u32> = (0..universe + 5).filter(|_| rng.gen_bool(0.8)).collect();
+        rng.shuffle(&mut order);
+        let trg = Trg::from_parts(edges, nodes.into_iter().map(BlockId).collect());
+        (trg, order.into_iter().map(BlockId).collect())
+    }
+
+    #[test]
+    fn dense_matches_lazy_heap_on_random_graphs() {
+        check("dense_matches_lazy_heap_on_random_graphs", |rng| {
+            for _ in 0..8 {
+                let (trg, order) = random_graph(rng);
+                let blocks = order.len() + trg.nodes().len();
+                for k in [1, 2, 3, 128, blocks + 1] {
+                    assert_eq!(
+                        reduce_ordered(&trg, k, &order),
+                        reduce_lazy_heap_oracle(&trg, k, &order),
+                        "k {}",
+                        k
+                    );
+                }
+            }
+        });
+    }
+
+    /// Explicit edges built by `Trg::from_edges`, zero weights included:
+    /// a zero-weight edge is still a conflict (it counts for the first-empty
+    /// and least-conflict slot choices and merges into slot edges).
+    #[test]
+    fn dense_matches_lazy_heap_on_zero_weight_edges() {
+        check("dense_matches_lazy_heap_on_zero_weight_edges", |rng| {
+            let pairs: Vec<(u32, u32, u64)> = (0..rng.gen_index(60))
+                .map(|_| {
+                    let x = rng.gen_range_u32(0, 16);
+                    let y = (x + rng.gen_range_u32(1, 16)) % 16;
+                    (x, y, rng.gen_range_u64(0, 3) * rng.gen_range_u64(0, 2))
+                })
+                .collect();
+            let trg = Trg::from_edges(&pairs);
+            let trace = TrimmedTrace::from_indices((0..20u32).rev());
+            for k in [1, 2, 3, 128] {
+                assert_eq!(
+                    reduce(&trg, k, &trace),
+                    reduce_lazy_heap_oracle(&trg, k, &first_appearance(&trace)),
+                    "k {}",
+                    k
+                );
+            }
+        });
+    }
+
+    /// Graphs built from random traces, reduced with and without the
+    /// trace's order statistics.
+    #[test]
+    fn dense_matches_lazy_heap_on_built_graphs() {
+        check("dense_matches_lazy_heap_on_built_graphs", |rng| {
+            let blocks = rng.gen_range_u32(1, 60);
+            let len = rng.gen_index(2000) + 1;
+            let trace = TrimmedTrace::from_indices((0..len).map(|_| rng.gen_range_u32(0, blocks)));
+            let window = [2usize, 8, 32, 256][rng.gen_index(4)];
+            let trg = Trg::build(&trace, window);
+            let order = first_appearance(&trace);
+            for k in [1, 2, 3, 128, order.len() + 1] {
+                assert_eq!(
+                    reduce(&trg, k, &trace),
+                    reduce_lazy_heap_oracle(&trg, k, &order),
+                    "window {} k {}",
+                    window,
+                    k
+                );
+            }
+        });
+    }
+
+    /// The real 403.gcc basic-block graph of the test-input profile under
+    /// the `bb-trg` pipeline's geometry (60k events, 682 blocks, ~173k
+    /// edges at window 1024), the shape the reduction is tuned for.
+    #[test]
+    fn dense_matches_lazy_heap_on_gcc_bb_graph() {
+        use clop_core::{preprocess_for_bb_reordering, Profile, ProfileConfig};
+        use clop_workloads::{primary_program, PrimaryBenchmark};
+
+        let w = primary_program(PrimaryBenchmark::Gcc);
+        let prepared = preprocess_for_bb_reordering(&w.module).expect("gcc supports bb");
+        let trace = Profile::collect(&prepared, &ProfileConfig::with_exec(w.test_exec)).bb_trace;
+        let config = crate::TrgConfig::from_cache(32 * 1024, 4, 64, 64);
+        let trg = Trg::build(&trace, config.window);
+        assert!(trg.num_edges() > 150_000, "{} edges", trg.num_edges());
+        let order = first_appearance(&trace);
+        for k in [3, config.slots] {
+            assert_eq!(
+                reduce(&trg, k, &trace),
+                reduce_lazy_heap_oracle(&trg, k, &order),
+                "k {}",
+                k
+            );
         }
     }
 }
