@@ -47,6 +47,13 @@ CLOP_BENCH_QUICK=1 CLOP_BENCH_JSON="$out2" cargo bench -p clop-bench
 # (~173k edges): reduction is one sort of the edges plus one placement per
 # block, so a change that slides back to per-edge hashing or heap churn
 # (~5x build) fails on any machine.
+# The bb-affinity guard holds one whole bb-affinity `optimize` on sjeng's
+# test input to at most 20x the profiling run it starts with. Threshold
+# measurement is most of that call: with pendings stored as runs of equal
+# backward witness it reads ~12x, with one pending per occurrence ~23x,
+# so a slide back to per-occurrence storage fails. The bound sits above
+# the midpoint because the row is a single parallel (jobs 2) call that
+# noisy 2-vCPU hosts inflate more than the profiling row.
 # The static/locality ceiling is absolute: the trace-free locality pass
 # (working sets, synthetic reuse/footprint, Eq-1 composition, conflict
 # term) must finish under 1 ms on the largest registry workload — the
@@ -66,5 +73,6 @@ cargo run -q --release -p clop-bench --bin bench_gate -- \
   --guard cachesim/solo_flat/1000000 cachesim/solo_scalar/1000000 0.40 \
   --guard trace/read_container_v2/loopy_4m trace/read_container_v1/loopy_4m 1.00 \
   --guard trg/reduce/gcc_bb_test trg/build/gcc_bb_test 1.0 \
+  --guard e2e/optimize/bb-affinity e2e/profile_only 20 \
   --ceiling static/locality/403.gcc 1000000 \
   BENCH_baseline.json "$out1" "$out2"

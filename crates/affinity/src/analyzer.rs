@@ -11,23 +11,26 @@
 //! The analysis is a single LRU-stack pass over the trace, following the
 //! paper's §II-B recipe ("we run a stack simulation of the trace; at each
 //! step we see all basic blocks that occur in a w-window with the accessed
-//! block") on top of the §II-F stack machinery — the Olken/Fenwick engine
-//! of `clop_trace::stack`, so each promotion costs O(log B) instead of a
-//! walk to the accessed block's depth. At each access the analyzer reads
-//! the *walk*: the `w_max + 1` most recent distinct blocks with their
-//! last-access positions. Only partners inside the walk can resolve or
-//! witness anything within the bound, so all pair work is confined to
-//! `w_max - 1` partners per access:
+//! block"). Only the top of the stack matters: the analyzer keeps the
+//! *walk* — the `w_max + 1` most recent distinct blocks with their
+//! last-access positions — as one contiguous array that each access
+//! promotes into with a short rotate (truncated LRU is exact for the
+//! entries it keeps). Only partners inside the walk can resolve or witness
+//! anything within the bound, so all pair work is confined to `w_max - 1`
+//! partners per access:
 //!
-//! * an access of `a` credits each walk partner `x`'s uncovered
+//! * an access of `a` resolves each walk partner `x`'s un-examined
 //!   occurrences, either with the forward footprint `fp<occurrence, now>`
 //!   (entries of the walk at or after the occurrence) when the occurrence
 //!   is still inside the window, or with its recorded backward witness
 //!   when the window has already outgrown the bound (a window only grows,
 //!   so the forward witness is infinite forever);
-//! * the access itself is recorded as a *pending* on every pair it has a
-//!   finite backward witness with (partner depth + 1), and in a per-block
-//!   occurrence queue that later partner accesses resolve lazily.
+//! * the access itself is appended to a per-block occurrence list and
+//!   recorded as *pending* on every pair it has a finite backward witness
+//!   with (partner depth + 1). Pendings are stored per pair direction as
+//!   runs of consecutive occurrences sharing one witness, so a block that
+//!   keeps seeing a partner at the same depth costs one run, and a later
+//!   partner access resolves the whole tail in one pass over the runs.
 //!
 //! Occurrences whose partner never comes within the window are credited
 //! nowhere; pairs survive only when the per-direction credit count equals
@@ -36,10 +39,9 @@
 //! mergeable: see [`crate::shard`] for the parallel driver that this
 //! sequential entry point shares its engine with.
 //!
-//! Cost is O(N·(w_max + log B)) stack work plus one credit per
-//! (occurrence, co-resident pair) — the paper's O(W·N·B) bound with the
-//! dense `B` factor replaced by actual co-residence counts and the
-//! unbounded promotion walks replaced by Fenwick queries.
+//! Cost is O(N·w_max) walk and pair-table work plus one step per pending
+//! run at examination — the paper's O(W·N·B) bound with the dense `B`
+//! factor replaced by actual co-residence counts.
 
 use clop_trace::{BlockId, TrimmedTrace};
 use clop_util::FxHashMap;
