@@ -23,13 +23,14 @@ CLOP_BENCH_QUICK=1 CLOP_BENCH_JSON="$out2" cargo bench -p clop-bench
 # Ratio guards: adaptive shard sizing must keep parallel analysis from
 # ever losing to the sequential pass — on any machine, at any worker
 # count. The corun/nway rows replay the same *total* access count split
-# across N tenants, so per-access cost staying O(1) in the tenant count
-# (i.e. total simulation cost ~linear in N for N× the work) keeps the
-# ns/iter ratio across widths near 1 (the allowance covers the higher
-# shared-L2 miss rate at high N, where tenant-tagged replication grows
-# the aggregate footprint; an O(N)-per-access regression would measure
-# ~4× at width 8 and fail). Both sides of each guard come from the
-# same runs, so the checks are independent of absolute machine speed.
+# across N tenants through `simulate_corun_nway` (one shared L1i, the
+# batched kernel plus per-tenant eviction attribution), so per-access
+# cost staying O(1) in the tenant count keeps the ns/iter ratio across
+# widths near 1 (the allowance covers the per-width setup and the
+# sets × tenants attribution state; an O(N)-per-access regression would
+# measure ~4× at width 8 and fail). Both sides of each guard come from
+# the same runs, so the checks are independent of absolute machine
+# speed.
 # The serve/ingest guard proves the client session layer (deadlines,
 # backoff, idempotent-resend bookkeeping) costs at most 5% over a bare
 # socket on fault-free ingest — robustness must be free when nothing

@@ -2,11 +2,11 @@
 //!
 //! The affinity analysis is a stream computation whose per-event work
 //! depends only on the `w_max + 1` most recently used distinct blocks (the
-//! walk). [`measure_region`] runs the one-pass analyzer over one
+//! walk). `measure_region` runs the one-pass analyzer over one
 //! [`Shard`]: the backward overlap replays recency state, the core
 //! attributes occurrences, and the forward extension resolves core
 //! occurrences whose first partner access falls just past the core.
-//! [`measure_jobs`] fans the regions over the worker pool and merges with
+//! `measure_jobs` fans the regions over the worker pool and merges with
 //! order-independent reductions, so the result is bit-identical for any
 //! worker count.
 //!

@@ -2,7 +2,7 @@
 //! channel, and the timed core model.
 
 use clop_cachesim::{
-    simulate_corun_lines, simulate_nway_shared_l2, simulate_solo_lines, CacheConfig,
+    simulate_corun_lines, simulate_corun_nway, simulate_solo_lines, CacheConfig,
     NextLinePrefetchCache, SetAssocCache, SmtSimulator, TimingConfig,
 };
 use clop_util::bench::{quick, Runner};
@@ -77,28 +77,24 @@ fn main() {
     let b = synthetic_lines(500_000 / scale, 1024);
     r.bench("cachesim/corun_1m", || simulate_corun_lines(&a, &b, cfg));
 
-    // N-way inclusive shared-L2 replay at constant *total* work: one master
-    // stream chunked across the tenants, so every width replays the same
-    // access multiset and only the tenant count varies. Per-access cost is
-    // O(1) in the tenant count, so ns/iter stays roughly flat across
-    // widths, with a bounded rise at high N from workload physics rather
-    // than algorithm: tenant tags make each tenant's copy a distinct L2
-    // line, so the aggregate footprint grows with N and the miss/eviction
-    // path runs more often (ci/bench_gate.sh guards the 2→4→8 ratio at
-    // measured headroom — an O(N)-per-access regression would show ~4× at
-    // width 8 and trip it). Quick mode
-    // shrinks this block less than the rest: per-run setup (N private L1s,
-    // sets×tenants attribution matrices) is O(N), and the guard should
-    // measure the per-access replay cost, not the constructor.
+    // N-way shared-cache replay (the path `exp_all nway_validation` runs)
+    // at constant *total* work: one master stream chunked across the
+    // tenants, so every width replays the same access multiset and only
+    // the tenant count varies. Per-access cost is O(1) in the tenant
+    // count, so ns/iter stays roughly flat across widths (ci/bench_gate.sh
+    // guards the 2→4→8 ratio — an O(N)-per-access regression would show
+    // ~4× at width 8 and trip it). Quick mode shrinks this block less than
+    // the rest: per-run setup (the sets×tenants attribution matrix) is
+    // O(N), and the guard should measure the per-access replay cost, not
+    // the constructor.
     {
         let total = 600_000 / if quick() { 20 } else { 1 };
-        let l2 = CacheConfig::new(256 * 1024, 8, 64);
         let master = synthetic_lines(total, 2048);
         for n in [2usize, 4, 8] {
             let per = total / n;
             let slices: Vec<&[u64]> = (0..n).map(|t| &master[t * per..(t + 1) * per]).collect();
             r.bench_with_elements(&format!("corun/nway/{}", n), Some(total as u64), || {
-                simulate_nway_shared_l2(&slices, cfg, l2)
+                simulate_corun_nway(&slices, cfg)
             });
         }
     }

@@ -43,12 +43,6 @@ pub fn paper_cache() -> CacheConfig {
     CacheConfig::paper_l1i()
 }
 
-/// The two timing channels: plain (used for the pure performance numbers)
-/// and hardware-like (prefetching; used for "hw counter" miss ratios).
-pub fn timing_plain() -> TimingConfig {
-    TimingConfig::default()
-}
-
 /// Timing with the next-line prefetcher, the HwLike channel.
 pub fn timing_hw() -> TimingConfig {
     TimingConfig::hw_like()

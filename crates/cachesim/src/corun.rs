@@ -26,7 +26,7 @@ use crate::icache::{SetAssocCache, BATCH_LINES};
 const THREAD_TAG_SHIFT: u64 = 58;
 
 /// Number of tenants the tag bits can keep apart (tenant ids occupy the
-/// bits from [`THREAD_TAG_SHIFT`] up, so 63 − 58 = 5 bits → 32 tenants —
+/// bits from `THREAD_TAG_SHIFT` up, so 63 − 58 = 5 bits → 32 tenants —
 /// double the widest SMT the paper contemplates).
 pub const MAX_TENANTS: usize = 1 << (63 - THREAD_TAG_SHIFT);
 
@@ -40,7 +40,7 @@ pub fn tenant_of_line(tagged: u64) -> usize {
 /// cache never aliases the two programs.
 ///
 /// Invariant (checked unconditionally): `line` must stay below bit
-/// [`THREAD_TAG_SHIFT`], i.e. below 2^58. Real line indices are byte
+/// `THREAD_TAG_SHIFT`, i.e. below 2^58. Real line indices are byte
 /// addresses divided by the line size, so a violation means a corrupted
 /// stream — silently folding the tag into the index would alias the two
 /// address spaces and quietly skew every co-run statistic.
@@ -297,12 +297,6 @@ impl EvictionMatrix {
         (0..self.tenants)
             .map(|v| self.counts[v * self.tenants + evictor])
             .sum()
-    }
-
-    /// Lines `victim` lost to *other* tenants (row sum minus the
-    /// diagonal) — the interference it suffered.
-    pub fn suffered_from_peers(&self, victim: usize) -> u64 {
-        self.suffered_by(victim) - self.count(victim, victim)
     }
 
     /// Grand total of evictions recorded.

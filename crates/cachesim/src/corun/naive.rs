@@ -1,17 +1,15 @@
-//! Straight-line reference simulators for the N-way co-run paths.
+//! Straight-line reference simulator for the N-way co-run path.
 //!
 //! Mirrors the `NaiveLruStack` pattern from the reuse-distance engine: the
-//! fast paths ([`crate::corun::simulate_corun_nway`],
-//! [`crate::multilevel::simulate_nway_shared_l2`]) are pinned against
-//! these deliberately artless implementations by randomized differential
-//! suites (`tests/nway.rs`). Everything here is array-of-structs, one
+//! fast path ([`crate::corun::simulate_corun_nway`]) is pinned against
+//! this deliberately artless implementation by a randomized differential
+//! suite (`tests/nway.rs`). Everything here is array-of-structs, one
 //! linear scan per decision, no fused loops, no stamp-encoding tricks —
 //! the behavior is meant to be auditable against the textbook definition
-//! of a set-associative true-LRU inclusive hierarchy, not fast.
+//! of a set-associative true-LRU cache, not fast.
 
 use crate::config::{CacheConfig, CacheStats};
 use crate::corun::{tag_line, tenant_of_line, EvictionMatrix, NwayCorunResult};
-use crate::multilevel::{Level, LevelStats, NwayTwoLevelResult};
 
 /// One way of one set: a valid bit, the full tagged line, and the LRU
 /// timestamp of the last touch.
@@ -23,7 +21,7 @@ struct Way {
 }
 
 /// The textbook set-associative LRU cache: a `Vec` of sets, each a `Vec`
-/// of ways, with explicit linear scans for hit, victim, and invalidation.
+/// of ways, with explicit linear scans for hit and victim.
 struct NaiveCache {
     config: CacheConfig,
     sets: Vec<Vec<Way>>,
@@ -85,23 +83,6 @@ impl NaiveCache {
             evicted,
         }
     }
-
-    fn invalidate(&mut self, line: u64) -> bool {
-        let set = &mut self.sets[self.config.set_of_line(line) as usize];
-        for way in set.iter_mut() {
-            if way.valid && way.tag == line {
-                way.valid = false;
-                return true;
-            }
-        }
-        false
-    }
-
-    fn probe(&self, line: u64) -> bool {
-        self.sets[self.config.set_of_line(line) as usize]
-            .iter()
-            .any(|w| w.valid && w.tag == line)
-    }
 }
 
 /// Round-robin interleave of N streams as an explicit position list —
@@ -147,94 +128,4 @@ pub fn simulate_corun_nway(streams: &[&[u64]], config: CacheConfig) -> NwayCorun
         evictions,
         evictions_by_set,
     }
-}
-
-/// Reference two-level N-way co-run: private naive L1s over one shared,
-/// inclusive naive L2. Every L2 eviction is attributed and back-invalidated
-/// from the owner's L1 by explicit scan.
-pub struct NaiveNwaySharedL2 {
-    l1s: Vec<NaiveCache>,
-    l2: NaiveCache,
-    l2_config: CacheConfig,
-    stats: Vec<LevelStats>,
-    l2_evictions: EvictionMatrix,
-    l2_evictions_by_set: Vec<u64>,
-    back_invalidations: Vec<u64>,
-}
-
-impl NaiveNwaySharedL2 {
-    /// Build for `tenants` address spaces with the given geometries.
-    pub fn new(tenants: usize, l1: CacheConfig, l2: CacheConfig) -> Self {
-        NaiveNwaySharedL2 {
-            l1s: (0..tenants).map(|_| NaiveCache::new(l1)).collect(),
-            l2: NaiveCache::new(l2),
-            l2_config: l2,
-            stats: vec![LevelStats::default(); tenants],
-            l2_evictions: EvictionMatrix::new(tenants),
-            l2_evictions_by_set: vec![0; l2.num_sets() as usize * tenants],
-            back_invalidations: vec![0; tenants],
-        }
-    }
-
-    /// One fetch by `tenant` of `line`; returns the serving level.
-    pub fn access(&mut self, tenant: usize, line: u64) -> Level {
-        let tagged = tag_line(line, tenant);
-        self.stats[tenant].accesses += 1;
-        if self.l1s[tenant].access(tagged).hit {
-            return Level::L1;
-        }
-        self.stats[tenant].l1_misses += 1;
-        let outcome = self.l2.access(tagged);
-        if outcome.hit {
-            return Level::L2;
-        }
-        self.stats[tenant].l2_misses += 1;
-        if let Some(victim_line) = outcome.evicted {
-            let victim = tenant_of_line(victim_line);
-            self.l2_evictions.record(victim, tenant);
-            let set = self.l2_config.set_of_line(tagged) as usize;
-            self.l2_evictions_by_set[set * self.l1s.len() + victim] += 1;
-            if self.l1s[victim].invalidate(victim_line) {
-                self.back_invalidations[victim] += 1;
-            }
-        }
-        Level::Memory
-    }
-
-    /// Verify inclusion by brute force: every valid L1 way probes the L2.
-    pub fn check_inclusion(&self) -> Result<(), (usize, u64)> {
-        for (t, l1) in self.l1s.iter().enumerate() {
-            for set in &l1.sets {
-                for way in set {
-                    if way.valid && !self.l2.probe(way.tag) {
-                        return Err((t, way.tag));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Consume the simulator into its result record.
-    pub fn into_result(self) -> NwayTwoLevelResult {
-        NwayTwoLevelResult {
-            per_tenant: self.stats,
-            l2_evictions: self.l2_evictions,
-            l2_evictions_by_set: self.l2_evictions_by_set,
-            back_invalidations: self.back_invalidations,
-        }
-    }
-}
-
-/// Replay N streams through the reference two-level hierarchy.
-pub fn simulate_nway_shared_l2(
-    streams: &[&[u64]],
-    l1: CacheConfig,
-    l2: CacheConfig,
-) -> NwayTwoLevelResult {
-    let mut sim = NaiveNwaySharedL2::new(streams.len(), l1, l2);
-    for (tenant, line) in naive_interleave(streams) {
-        sim.access(tenant, line);
-    }
-    sim.into_result()
 }

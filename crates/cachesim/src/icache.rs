@@ -1,7 +1,7 @@
 //! Set-associative LRU instruction cache.
 //!
 //! The simulator works in *line indices* (byte address divided by line
-//! size), which is what [`clop_ir::fetch`] produces. Tags are full line
+//! size), which is what `clop_ir::fetch` produces. Tags are full line
 //! indices, so distinct address spaces never alias: co-run simulation keeps
 //! the two programs' lines distinct by offsetting one program's addresses
 //! (a physically tagged cache shared by two processes behaves the same
@@ -147,31 +147,6 @@ impl SetAssocCache {
         self.stats.record(false);
         self.misses_by_set[set] += 1;
         (false, evicted)
-    }
-
-    /// Drop a line if resident; returns `true` when something was
-    /// invalidated. Does not touch statistics. Models the back-invalidation
-    /// an inclusive outer level sends to the private caches above it.
-    pub fn invalidate(&mut self, line: u64) -> bool {
-        let (start, assoc) = self.set_range(line);
-        for i in start..start + assoc {
-            if self.stamps[i] != 0 && self.tags[i] == line {
-                self.stamps[i] = 0;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Every currently resident line, in no particular order. Test and
-    /// invariant-checking surface (the inclusion checks iterate the private
-    /// L1s and probe the shared L2).
-    pub fn resident_lines(&self) -> impl Iterator<Item = u64> + '_ {
-        self.stamps
-            .iter()
-            .zip(self.tags.iter())
-            .filter(|(&s, _)| s != 0)
-            .map(|(_, &t)| t)
     }
 
     /// Install or refresh a line *without* recording statistics. Used by
@@ -857,33 +832,6 @@ mod tests {
         assert_eq!(c.access_reporting(2), (false, None));
         assert_eq!(c.access_reporting(4), (false, Some(0)), "0 is LRU");
         assert_eq!(c.access_reporting(2), (true, None));
-    }
-
-    #[test]
-    fn invalidate_drops_resident_line() {
-        let mut c = tiny();
-        c.access(0);
-        c.access(2);
-        assert!(c.invalidate(0));
-        assert!(!c.probe(0));
-        assert!(c.probe(2));
-        assert!(!c.invalidate(0), "already gone");
-        // Invalidation left a free way: filling does not evict line 2.
-        assert_eq!(c.access_reporting(4), (false, None));
-        assert!(c.probe(2));
-    }
-
-    #[test]
-    fn resident_lines_enumerates_contents() {
-        let mut c = tiny();
-        for l in [0u64, 1, 2] {
-            c.access(l);
-        }
-        let mut lines: Vec<u64> = c.resident_lines().collect();
-        lines.sort_unstable();
-        assert_eq!(lines, vec![0, 1, 2]);
-        c.invalidate(1);
-        assert_eq!(c.resident_lines().count(), 2);
     }
 
     #[test]

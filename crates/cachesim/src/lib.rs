@@ -43,7 +43,7 @@ pub use corun::{
 };
 pub use icache::SetAssocCache;
 pub use model::{CompositionModel, InterferenceReport, NwayInterferenceReport, PeerFootprintDist};
-pub use multilevel::{simulate_nway_shared_l2, LevelStats, NwaySharedL2, NwayTwoLevelResult};
+pub use multilevel::LevelStats;
 pub use occupancy::OccupancyMap;
 pub use policy::{simulate_with_policy, PolicyCache, ReplacementPolicy};
 pub use prefetch::NextLinePrefetchCache;
@@ -59,9 +59,7 @@ pub mod prelude {
     };
     pub use crate::icache::SetAssocCache;
     pub use crate::model::{CompositionModel, InterferenceReport, NwayInterferenceReport};
-    pub use crate::multilevel::{
-        simulate_nway_shared_l2, LevelStats, NwaySharedL2, NwayTwoLevelResult,
-    };
+    pub use crate::multilevel::LevelStats;
     pub use crate::prefetch::NextLinePrefetchCache;
     pub use crate::timing::{SmtSimulator, ThreadOutcome, TimedRun, TimingConfig};
 }

@@ -363,33 +363,6 @@ pub fn politeness_many(
     -(acc / peers.len() as f64)
 }
 
-/// Convenience: the expected number of blocks by which an access with reuse
-/// distance `d` overflows the shared cache, `max(0, d + peer.FP − C)`,
-/// averaged over the reuse histogram. A smoother interference indicator than
-/// the 0/1 miss count; used by ablation benches.
-pub fn mean_overflow(subject: &CompositionModel, peer: &CompositionModel, capacity: usize) -> f64 {
-    let total = subject.reuse.total();
-    if total == 0 {
-        return 0.0;
-    }
-    let mut acc = 0.0f64;
-    let horizon = capacity + subject.footprint.total_distinct();
-    for d in 0..horizon {
-        let n = subject.reuse.count_at(d);
-        if n == 0 {
-            continue;
-        }
-        let window = subject
-            .footprint
-            .inverse(d as f64)
-            .unwrap_or(subject.footprint.max_window());
-        let peer_fp = peer.footprint.at(window);
-        let overflow = (d as f64 + peer_fp - capacity as f64).max(0.0);
-        acc += overflow * n as f64;
-    }
-    acc / total as f64
-}
-
 /// Helper: does this histogram indicate a "non-trivial" miss ratio at the
 /// paper's threshold? The paper selects programs with solo icache miss
 /// ratios around or above sjeng's (≈0.6%).
@@ -499,15 +472,6 @@ mod tests {
         let none = a.corun_miss_probability(&b, cap, 0.0);
         assert!(none <= full);
         assert!((none - a.solo_miss_probability(cap)).abs() < 0.05);
-    }
-
-    #[test]
-    fn mean_overflow_zero_when_fits() {
-        let a = CompositionModel::measure(&cyclic(4, 400), 64);
-        let b = CompositionModel::measure(&cyclic(4, 400), 64);
-        assert_eq!(mean_overflow(&a, &b, 64), 0.0);
-        // Reuse distance 3 plus peer footprint 3 overflows a 5-block cache.
-        assert!(mean_overflow(&a, &b, 5) > 0.0);
     }
 
     #[test]

@@ -12,17 +12,13 @@
 //! behind the paper's remark that without L1 contention "there is no
 //! further improvement in the unified cache in the lower levels."
 //!
-//! [`NwaySharedL2`] generalizes the co-run form to N tenants on an
-//! *inclusive* shared L2: each tenant owns a private L1I; every L2
-//! eviction back-invalidates the victim line from its owner's L1 (the
-//! inclusion invariant every access preserves, checkable with
-//! [`NwaySharedL2::check_inclusion`]); and every L2 eviction is attributed
-//! to the tenant whose access caused it, per set. This is the simulated
-//! channel the N-peer defensiveness/politeness model is validated against
-//! (`exp_all nway_validation`).
+//! The N-tenant co-run is single-level: [`crate::corun::simulate_corun_nway`]
+//! replays N tagged streams through one shared cache, and `exp_all
+//! nway_validation` validates the N-peer defensiveness/politeness model
+//! against it.
 
 use crate::config::{CacheConfig, CacheStats};
-use crate::corun::{interleave_many_iter, tag_line, tenant_of_line, EvictionMatrix};
+use crate::corun::tag_line;
 use crate::icache::SetAssocCache;
 
 /// Where an access was served.
@@ -155,164 +151,6 @@ pub fn simulate_two_level_corun(
         }
     }
     out
-}
-
-impl LevelStats {
-    /// Merge another tenant's per-level statistics into this one.
-    pub fn merge(&mut self, other: &LevelStats) {
-        self.accesses += other.accesses;
-        self.l1_misses += other.l1_misses;
-        self.l2_misses += other.l2_misses;
-    }
-}
-
-/// Result of an N-tenant inclusive two-level co-run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NwayTwoLevelResult {
-    /// Per-tenant per-level statistics, indexed by tenant.
-    pub per_tenant: Vec<LevelStats>,
-    /// Who evicted whom in the shared L2.
-    pub l2_evictions: EvictionMatrix,
-    /// Per-set L2 eviction attribution: `[set * tenants + victim]` lines
-    /// the victim lost in that L2 set (use
-    /// [`NwayTwoLevelResult::l2_evictions_in_set`]).
-    pub l2_evictions_by_set: Vec<u64>,
-    /// Back-invalidations the inclusive L2 sent into each tenant's L1
-    /// (only evictions whose victim line was actually L1-resident count).
-    pub back_invalidations: Vec<u64>,
-}
-
-impl NwayTwoLevelResult {
-    /// L2 lines `victim` lost in `set`.
-    pub fn l2_evictions_in_set(&self, set: usize, victim: usize) -> u64 {
-        self.l2_evictions_by_set[set * self.per_tenant.len() + victim]
-    }
-
-    /// Combined statistics of all tenants.
-    pub fn combined(&self) -> LevelStats {
-        let mut s = LevelStats::default();
-        for t in &self.per_tenant {
-            s.merge(t);
-        }
-        s
-    }
-}
-
-/// N private L1 instruction caches over one shared, inclusive L2 with
-/// per-tenant eviction attribution. Step it access-by-access with
-/// [`NwaySharedL2::access`], or replay whole streams with
-/// [`simulate_nway_shared_l2`].
-#[derive(Clone, Debug)]
-pub struct NwaySharedL2 {
-    l1s: Vec<SetAssocCache>,
-    l2: SetAssocCache,
-    l2_config: CacheConfig,
-    stats: Vec<LevelStats>,
-    l2_evictions: EvictionMatrix,
-    l2_evictions_by_set: Vec<u64>,
-    back_invalidations: Vec<u64>,
-}
-
-impl NwaySharedL2 {
-    /// Build for `tenants` address spaces with the given geometries.
-    pub fn new(tenants: usize, l1: CacheConfig, l2: CacheConfig) -> Self {
-        NwaySharedL2 {
-            l1s: (0..tenants).map(|_| SetAssocCache::new(l1)).collect(),
-            l2: SetAssocCache::new(l2),
-            l2_config: l2,
-            stats: vec![LevelStats::default(); tenants],
-            l2_evictions: EvictionMatrix::new(tenants),
-            l2_evictions_by_set: vec![0; l2.num_sets() as usize * tenants],
-            back_invalidations: vec![0; tenants],
-        }
-    }
-
-    /// Number of tenants.
-    pub fn tenants(&self) -> usize {
-        self.l1s.len()
-    }
-
-    /// One fetch by `tenant` of (untagged) `line`; returns the serving
-    /// level. A miss in the shared L2 installs the line in both levels and
-    /// back-invalidates the L2 victim, if any, from its owner's L1 — so the
-    /// inclusion invariant holds again by the time this returns.
-    pub fn access(&mut self, tenant: usize, line: u64) -> Level {
-        let tagged = tag_line(line, tenant);
-        let st = &mut self.stats[tenant];
-        st.accesses += 1;
-        if self.l1s[tenant].access(tagged) {
-            return Level::L1;
-        }
-        st.l1_misses += 1;
-        let (l2_hit, evicted) = self.l2.access_reporting(tagged);
-        if l2_hit {
-            return Level::L2;
-        }
-        self.stats[tenant].l2_misses += 1;
-        if let Some(victim_line) = evicted {
-            let victim = tenant_of_line(victim_line);
-            self.l2_evictions.record(victim, tenant);
-            let set = self.l2_config.set_of_line(tagged) as usize;
-            self.l2_evictions_by_set[set * self.l1s.len() + victim] += 1;
-            if self.l1s[victim].invalidate(victim_line) {
-                self.back_invalidations[victim] += 1;
-            }
-        }
-        Level::Memory
-    }
-
-    /// A tenant's private L1 (invariant checks and tests).
-    pub fn l1(&self, tenant: usize) -> &SetAssocCache {
-        &self.l1s[tenant]
-    }
-
-    /// The shared L2 (invariant checks and tests).
-    pub fn l2(&self) -> &SetAssocCache {
-        &self.l2
-    }
-
-    /// Per-tenant statistics so far.
-    pub fn stats(&self) -> &[LevelStats] {
-        &self.stats
-    }
-
-    /// Verify the inclusion invariant: every line resident in any private
-    /// L1 is also resident in the shared L2. Returns the first violation
-    /// as `(tenant, tagged_line)`.
-    pub fn check_inclusion(&self) -> Result<(), (usize, u64)> {
-        for (t, l1) in self.l1s.iter().enumerate() {
-            for line in l1.resident_lines() {
-                if !self.l2.probe(line) {
-                    return Err((t, line));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Consume the simulator into its result record.
-    pub fn into_result(self) -> NwayTwoLevelResult {
-        NwayTwoLevelResult {
-            per_tenant: self.stats,
-            l2_evictions: self.l2_evictions,
-            l2_evictions_by_set: self.l2_evictions_by_set,
-            back_invalidations: self.back_invalidations,
-        }
-    }
-}
-
-/// Replay N fetch streams, round-robin interleaved, through private L1s
-/// over one shared inclusive L2 (see [`NwaySharedL2`]).
-pub fn simulate_nway_shared_l2(
-    streams: &[&[u64]],
-    l1: CacheConfig,
-    l2: CacheConfig,
-) -> NwayTwoLevelResult {
-    let mut sim = NwaySharedL2::new(streams.len(), l1, l2);
-    for (tenant, line) in interleave_many_iter(streams) {
-        sim.access(tenant, line);
-    }
-    sim.into_result()
 }
 
 #[cfg(test)]

@@ -225,14 +225,6 @@ impl SmtSimulator {
         [outcomes[0], outcomes[1]]
     }
 
-    /// Run any number of hyper-threads on one core — the wider SMT of the
-    /// paper's introduction (4 threads on POWER7, 8 on POWER8). Threads
-    /// share the core's 1.0 IPC (each capped at `max_thread_ipc`) and the
-    /// instruction cache; thread `i` starts `i × corun_stagger` cycles in.
-    pub fn run_many(&self, streams: &[&[(u64, u32)]]) -> Vec<ThreadOutcome> {
-        self.run_streams(streams)
-    }
-
     fn run_streams(&self, streams: &[&[(u64, u32)]]) -> Vec<ThreadOutcome> {
         let cfg = &self.config;
         let mut cache = AnyCache::new(cfg);

@@ -9,12 +9,13 @@
 //! deliberately handles both hot and cold paths the profile *did* see, but
 //! can say nothing about unexecuted code.
 //!
-//! [`OptimizerKind`] remains as a compatibility alias for the paper's 2×2
-//! matrix; every `optimize` call dispatches by name through
-//! [`build_pipeline`], so kinds and pipelines always agree.
+//! [`OptimizerKind`] is the one table of the paper's 2×2 matrix: its
+//! variants, [`OptimizerKind::name`] and [`OptimizerKind::from_name`] are
+//! the only name ↔ pipeline mapping, and
+//! [`build_pipeline`](crate::pipeline::build_pipeline) derives from it.
 
 use crate::bbreorder::BbReorderError;
-use crate::pipeline::{build_pipeline, PipelineParams};
+use crate::pipeline::{pipeline_for, PipelineParams};
 use crate::profile::{Profile, ProfileConfig};
 use clop_affinity::AffinityConfig;
 use clop_ir::{Layout, Module};
@@ -68,19 +69,31 @@ impl OptimizerKind {
 
     /// The registry name of this kind's pipeline (same as `Display`).
     pub fn name(self) -> String {
-        self.to_string()
+        self.as_str().to_string()
+    }
+
+    /// The kind whose pipeline is named `name`; `None` for any other name.
+    pub fn from_name(name: &str) -> Option<OptimizerKind> {
+        OptimizerKind::ALL.into_iter().find(|k| k.as_str() == name)
+    }
+
+    /// `"<transform>-<model>"`, the name [`Pipeline::new`] composes for
+    /// this kind's pipeline.
+    ///
+    /// [`Pipeline::new`]: crate::pipeline::Pipeline::new
+    fn as_str(self) -> &'static str {
+        match self {
+            OptimizerKind::FunctionAffinity => "function-affinity",
+            OptimizerKind::BbAffinity => "bb-affinity",
+            OptimizerKind::FunctionTrg => "function-trg",
+            OptimizerKind::BbTrg => "bb-trg",
+        }
     }
 }
 
 impl fmt::Display for OptimizerKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            OptimizerKind::FunctionAffinity => "function-affinity",
-            OptimizerKind::BbAffinity => "bb-affinity",
-            OptimizerKind::FunctionTrg => "function-trg",
-            OptimizerKind::BbTrg => "bb-trg",
-        };
-        f.write_str(s)
+        f.write_str(self.as_str())
     }
 }
 
@@ -197,13 +210,9 @@ impl Optimizer {
         }
     }
 
-    /// Run the pipeline on a module. Dispatches by name through
-    /// [`build_pipeline`]; the enum is purely a name.
+    /// Run this kind's pipeline on a module.
     pub fn optimize(&self, module: &Module) -> Result<OptimizedProgram, OptError> {
-        let name = self.kind.to_string();
-        build_pipeline(&name, &self.params())
-            .ok_or(OptError::UnknownPipeline(name))?
-            .optimize(module)
+        pipeline_for(self.kind, &self.params()).optimize(module)
     }
 }
 

@@ -13,14 +13,14 @@
 //!   as a concrete [`Layout`].
 //! * [`Pipeline`] composes one of each with a profiling configuration.
 //! * [`build_pipeline`] maps the four names ("function-affinity",
-//!   "bb-affinity", "function-trg", "bb-trg") to pipelines through one
-//!   fixed table. Every dispatch site — [`crate::Optimizer`], the
-//!   [`crate::Engine`], the experiment harness and `clop-serve` —
-//!   constructs pipelines purely by name, so a new pipeline is one more
-//!   table row.
+//!   "bb-affinity", "function-trg", "bb-trg") to pipelines through
+//!   [`OptimizerKind`], the one table of the paper's pipelines. The
+//!   [`crate::Engine`], the experiment harness and `clop-serve` construct
+//!   pipelines by name, [`crate::Optimizer`] by kind, so a new pipeline is
+//!   one more variant.
 
 use crate::bbreorder;
-use crate::optimizer::{OptError, OptimizedProgram};
+use crate::optimizer::{OptError, OptimizedProgram, OptimizerKind};
 use crate::profile::{Profile, ProfileConfig};
 use clop_affinity::{affinity_layout_jobs, AffinityConfig, AffinityHierarchy};
 use clop_ir::{FuncId, GlobalBlockId, Layout, Module};
@@ -335,49 +335,35 @@ impl PipelineParams {
     }
 }
 
-/// The locality model of a [`PAPER_PIPELINES`] row.
-#[derive(Clone, Copy)]
-enum Model {
-    Affinity,
-    Trg,
-}
-
-/// The paper's four pipelines (§II-F), in the order
-/// [`registered_pipelines`] lists them: each name is
-/// `"<transform>-<model>"`.
-const PAPER_PIPELINES: [(&str, Model, Granularity); 4] = [
-    ("function-affinity", Model::Affinity, Granularity::Function),
-    ("bb-affinity", Model::Affinity, Granularity::BasicBlock),
-    ("function-trg", Model::Trg, Granularity::Function),
-    ("bb-trg", Model::Trg, Granularity::BasicBlock),
-];
-
-/// Build the named pipeline; `None` for a name outside the table.
-pub fn build_pipeline(name: &str, params: &PipelineParams) -> Option<Pipeline> {
-    let &(_, model, granularity) = PAPER_PIPELINES.iter().find(|(n, ..)| *n == name)?;
-    let model: Arc<dyn LocalityModel> = match model {
-        Model::Affinity => Arc::new(WWindowAffinity {
+/// Build `kind`'s pipeline: its locality model at its granularity.
+pub(crate) fn pipeline_for(kind: OptimizerKind, params: &PipelineParams) -> Pipeline {
+    let model: Arc<dyn LocalityModel> = if kind.is_affinity() {
+        Arc::new(WWindowAffinity {
             config: params.affinity,
             jobs: params.jobs,
-        }),
-        Model::Trg => Arc::new(TrgModel {
+        })
+    } else {
+        Arc::new(TrgModel {
             config: params.trg,
             jobs: params.jobs,
-        }),
+        })
     };
-    let transform: Arc<dyn Transform> = match granularity {
+    let transform: Arc<dyn Transform> = match kind.granularity() {
         Granularity::Function => Arc::new(FunctionReorder),
         Granularity::BasicBlock => Arc::new(BbReorder),
     };
-    Some(Pipeline::new(model, transform, params.profile))
+    Pipeline::new(model, transform, params.profile)
 }
 
-/// The pipeline names [`build_pipeline`] accepts, in table order.
+/// Build the named pipeline; `None` for a name no [`OptimizerKind`] has.
+pub fn build_pipeline(name: &str, params: &PipelineParams) -> Option<Pipeline> {
+    OptimizerKind::from_name(name).map(|kind| pipeline_for(kind, params))
+}
+
+/// The pipeline names [`build_pipeline`] accepts, in
+/// [`OptimizerKind::ALL`] order.
 pub fn registered_pipelines() -> Vec<String> {
-    PAPER_PIPELINES
-        .iter()
-        .map(|(n, ..)| n.to_string())
-        .collect()
+    OptimizerKind::ALL.iter().map(|k| k.name()).collect()
 }
 
 #[cfg(test)]
@@ -407,7 +393,15 @@ mod tests {
             let (transform, model) = name.split_once('-').unwrap();
             assert_eq!(pipe.model.name(), model, "{}", name);
             assert_eq!(pipe.transform.name(), transform, "{}", name);
+            let kind = OptimizerKind::from_name(name).unwrap();
+            assert_eq!(kind.name(), name);
+            assert_eq!(kind.to_string(), name);
         }
+        assert_eq!(
+            OptimizerKind::ALL.map(|k| OptimizerKind::from_name(&k.name())),
+            OptimizerKind::ALL.map(Some)
+        );
+        assert_eq!(OptimizerKind::from_name("no-such-pipeline"), None);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Executing a basic block fetches its bytes front to back; with line size
 //! `L` that touches the lines from `addr/L` through `(addr+size-1)/L` in
 //! order. The resulting line-address stream is what the paper's Pin-based
-//! simulator observed and what [`clop_cachesim`] consumes.
+//! simulator observed and what `clop_cachesim` consumes.
 
 use crate::layout::LinkedImage;
 use clop_trace::Trace;

@@ -10,7 +10,7 @@
 //! 1. [`graph`] builds the TRG from a trimmed trace, counting interleavings
 //!    only within a bounded recency window (Gloy–Smith recommend twice the
 //!    cache size; sensitivity to this constant is Ablation A2),
-//! 2. [`reduce`] runs Algorithm 2: code blocks are greedily assigned to
+//! 2. [`reduce`](mod@reduce) runs Algorithm 2: code blocks are greedily assigned to
 //!    `K` *code slots* along the heaviest conflict edges — an unplaced
 //!    block takes the first empty slot, else the slot whose merged
 //!    supernode it conflicts with least; placed blocks merge into their

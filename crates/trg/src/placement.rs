@@ -10,7 +10,7 @@
 //! evaluation quantify that design decision: padding buys conflict freedom
 //! at the price of image growth and lost spatial density.
 //!
-//! Here, the slot assignment produced by [`crate::reduce`] is realized
+//! Here, the slot assignment produced by [`crate::reduce()`] is realized
 //! literally: blocks are emitted in slot order, and each block is padded
 //! so it *starts* exactly at its slot's set offset in the next cache-sized
 //! region, giving every slot a private range of cache sets.

@@ -18,7 +18,7 @@
 //!   at the same path merge into one document.
 //! - `CLOP_BENCH_QUICK=1`: smoke mode for CI — a tiny timing budget so
 //!   every benchmark body is exercised in `--release` without spending
-//!   minutes measuring. Targets consult [`Runner::quick`] to also shrink
+//!   minutes measuring. Targets consult [`quick`] to also shrink
 //!   their input sizes.
 
 use crate::json::{Json, ToJson};

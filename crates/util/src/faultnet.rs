@@ -1,6 +1,6 @@
 //! Deterministic network fault injection: a seeded stream wrapper.
 //!
-//! [`fault`] corrupts *artifacts at rest*; this module corrupts the
+//! [`fault`](crate::fault) corrupts *artifacts at rest*; this module corrupts the
 //! *transport*. [`FaultStream`] wraps any `Read + Write` byte stream and
 //! injects the failure modes a TCP peer actually observes:
 //!
@@ -17,7 +17,7 @@
 //!   prefix of the frame and then errors, a read errors outright; every
 //!   later operation fails too.
 //!
-//! Every decision comes from a [`Rng`](crate::rng::Rng) seeded by the
+//! Every decision comes from a [`Rng`] seeded by the
 //! caller, so a failing run is replayable from its seed: the same
 //! `(seed, schedule, operation sequence)` injects the same faults. The
 //! schedule itself ([`FaultSpec`]) is a compact `key=value` string so it

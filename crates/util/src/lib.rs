@@ -8,10 +8,10 @@
 //!   interpreter need.
 //! - [`json`]: a JSON value type with a pretty printer and a parser —
 //!   enough for experiment result emission and golden-file comparison.
-//! - [`check`]: a seeded property-test harness (randomized inputs, fixed
+//! - [`check`](mod@check): a seeded property-test harness (randomized inputs, fixed
 //!   seeds, reproducible failures) replacing an external proptest
 //!   dependency.
-//! - [`bench`]: a micro-benchmark runner for `harness = false` bench
+//! - [`bench`](mod@bench): a micro-benchmark runner for `harness = false` bench
 //!   targets, replacing an external criterion dependency.
 //! - [`pool`]: a scoped-thread worker pool with deterministic,
 //!   input-ordered results, shared by the experiment harness and the
@@ -23,7 +23,7 @@
 //!   recoverable failure (trace decode, IR parse/build, pipeline,
 //!   experiment supervision, I/O) as a structured value instead of a
 //!   panic.
-//! - [`crc32`]: IEEE CRC-32 for the versioned trace container's payload
+//! - [`crc32`](mod@crc32): IEEE CRC-32 for the versioned trace container's payload
 //!   checksum.
 //! - [`atomicio`]: temp-file + fsync + rename writes, so interrupted runs
 //!   never leave torn artifacts.

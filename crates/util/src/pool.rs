@@ -68,23 +68,6 @@ where
         .collect()
 }
 
-/// Map `f` over `items` in parallel, then fold the results **in input
-/// order** on the caller's thread.
-///
-/// This is the canonical shape for sharded analyses: the expensive
-/// per-item work parallelizes, while the sequential input-order fold keeps
-/// the combined result bit-identical for every `jobs` value even when the
-/// fold itself is order-sensitive.
-pub fn parallel_map_reduce<T, R, A, F, G>(jobs: usize, items: Vec<T>, map: F, init: A, fold: G) -> A
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-    G: FnMut(A, R) -> A,
-{
-    parallel_map(jobs, items, map).into_iter().fold(init, fold)
-}
-
 /// The number of jobs to use by default: the machine's available
 /// parallelism.
 pub fn default_jobs() -> usize {
@@ -144,35 +127,5 @@ mod tests {
     #[test]
     fn default_jobs_is_positive() {
         assert!(default_jobs() >= 1);
-    }
-
-    #[test]
-    fn map_reduce_folds_in_input_order() {
-        // An order-sensitive fold (string concatenation): any worker count
-        // must produce the sequential result.
-        let items: Vec<u32> = (0..40).collect();
-        let expect = parallel_map_reduce(
-            1,
-            items.clone(),
-            |_, x| x.to_string(),
-            String::new(),
-            |a, r| a + &r,
-        );
-        for jobs in [2, 3, 8] {
-            let got = parallel_map_reduce(
-                jobs,
-                items.clone(),
-                |_, x| x.to_string(),
-                String::new(),
-                |a, r| a + &r,
-            );
-            assert_eq!(got, expect, "jobs={}", jobs);
-        }
-    }
-
-    #[test]
-    fn map_reduce_empty_yields_init() {
-        let sum = parallel_map_reduce(4, Vec::<u32>::new(), |_, x| x, 7u32, |a, r| a + r);
-        assert_eq!(sum, 7);
     }
 }

@@ -89,13 +89,8 @@ fn parse_exec(args: &[String], default_fuel: u64) -> Result<ExecConfig, String> 
 }
 
 fn parse_optimizer(args: &[String]) -> Result<OptimizerKind, String> {
-    match flag_value(args, "--optimizer").unwrap_or("bb-affinity") {
-        "function-affinity" => Ok(OptimizerKind::FunctionAffinity),
-        "bb-affinity" => Ok(OptimizerKind::BbAffinity),
-        "function-trg" => Ok(OptimizerKind::FunctionTrg),
-        "bb-trg" => Ok(OptimizerKind::BbTrg),
-        other => Err(format!("unknown optimizer `{}`", other)),
-    }
+    let name = flag_value(args, "--optimizer").unwrap_or("bb-affinity");
+    OptimizerKind::from_name(name).ok_or_else(|| format!("unknown optimizer `{}`", name))
 }
 
 fn cmd_optimize(args: &[String]) -> Result<(), String> {
