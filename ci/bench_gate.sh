@@ -55,6 +55,11 @@ CLOP_BENCH_QUICK=1 CLOP_BENCH_JSON="$out2" cargo bench -p clop-bench
 # so a slide back to per-occurrence storage fails. The bound sits above
 # the midpoint because the row is a single parallel (jobs 2) call that
 # noisy 2-vCPU hosts inflate more than the profiling row.
+# The timed-core guard holds the cycle-accounted co-run of the 200k stream
+# pair to at most 4.5x the plain simulated co-run of the same pair: the
+# allocation-free event loop reads 2.1-3.6x, the loop that collected a
+# ready-thread Vec on every step 6.0-7.2x, so a slide back to per-step
+# allocation fails on any machine.
 # The static/locality ceiling is absolute: the trace-free locality pass
 # (working sets, synthetic reuse/footprint, Eq-1 composition, conflict
 # term) must finish under 1 ms on the largest registry workload — the
@@ -75,5 +80,6 @@ cargo run -q --release -p clop-bench --bin bench_gate -- \
   --guard trace/read_container_v2/loopy_4m trace/read_container_v1/loopy_4m 1.00 \
   --guard trg/reduce/gcc_bb_test trg/build/gcc_bb_test 1.0 \
   --guard e2e/optimize/bb-affinity e2e/profile_only 20 \
+  --guard cachesim/timed_corun_200k cachesim/corun_200k 4.5 \
   --ceiling static/locality/403.gcc 1000000 \
   BENCH_baseline.json "$out1" "$out2"

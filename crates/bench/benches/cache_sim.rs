@@ -108,13 +108,18 @@ fn main() {
         cache.stats()
     });
 
-    let stream: Vec<(u64, u32)> = synthetic_lines(200_000 / scale, 2048)
-        .into_iter()
-        .map(|l| (l, 12))
-        .collect();
+    // The timed core model, and the simulated co-run of the same stream
+    // pair: ci/bench_gate.sh holds the timed co-run to a same-run multiple
+    // of the simulated one, so an event loop that allocates per step
+    // fails on any machine.
+    let lines = synthetic_lines(200_000 / scale, 2048);
+    let stream: Vec<(u64, u32)> = lines.iter().map(|&l| (l, 12)).collect();
     let sim = SmtSimulator::new(TimingConfig::default());
     r.bench("cachesim/timed_solo_200k", || sim.run_solo(&stream));
     r.bench("cachesim/timed_corun_200k", || {
         sim.run_corun(&stream, &stream)
+    });
+    r.bench("cachesim/corun_200k", || {
+        simulate_corun_lines(&lines, &lines, cfg)
     });
 }

@@ -15,9 +15,8 @@
 
 use crate::experiment::{ExperimentCtx, ExperimentResult};
 use crate::{pct0, render_table};
-use clop_core::search::exhaustive_function_order_distribution;
 use clop_core::{
-    baseline, exhaustive_best_function_order, random_search_function_order, EvalConfig, Optimizer,
+    baseline, exhaustive_function_orders, random_search_function_order, EvalConfig, Optimizer,
     OptimizerKind, Profile, ProfileConfig,
 };
 use clop_ir::prelude::*;
@@ -105,9 +104,8 @@ pub fn run(ctx: &ExperimentCtx) -> ExperimentResult {
     let measure = |layout: &Layout| ctx.evaluate(&module, layout, &config).solo_sim();
 
     let mut text = String::new();
-    let best = exhaustive_best_function_order(&module, &config, 8);
+    let (best, mut dist) = exhaustive_function_orders(&module, &config, 8);
     let optimal = best.stats;
-    let mut dist = exhaustive_function_order_distribution(&module, &config, 8);
     dist.sort_unstable();
     let pctile = |m: u64| -> f64 {
         let below = dist.partition_point(|&x| x < m);

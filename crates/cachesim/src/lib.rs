@@ -38,8 +38,8 @@ pub mod timing;
 pub use config::{CacheConfig, CacheStats};
 pub use corun::{
     interleave_many_iter, interleave_round_robin, interleave_round_robin_iter,
-    simulate_corun_lines, simulate_corun_many, simulate_corun_nway, simulate_solo_lines, tag_line,
-    tenant_of_line, CorunCacheResult, EvictionMatrix, NwayCorunResult, MAX_TENANTS,
+    simulate_corun_lines, simulate_corun_nway, simulate_solo_lines, tag_line, tenant_of_line,
+    CorunCacheResult, EvictionMatrix, NwayCorunResult, MAX_TENANTS,
 };
 pub use icache::SetAssocCache;
 pub use model::{CompositionModel, InterferenceReport, NwayInterferenceReport, PeerFootprintDist};
@@ -54,8 +54,8 @@ pub mod prelude {
     pub use crate::config::{CacheConfig, CacheStats};
     pub use crate::corun::{
         interleave_many_iter, interleave_round_robin, interleave_round_robin_iter,
-        simulate_corun_lines, simulate_corun_many, simulate_corun_nway, simulate_solo_lines,
-        tag_line, tenant_of_line, CorunCacheResult, EvictionMatrix, NwayCorunResult,
+        simulate_corun_lines, simulate_corun_nway, simulate_solo_lines, tag_line, tenant_of_line,
+        CorunCacheResult, EvictionMatrix, NwayCorunResult,
     };
     pub use crate::icache::SetAssocCache;
     pub use crate::model::{CompositionModel, InterferenceReport, NwayInterferenceReport};

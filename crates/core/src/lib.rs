@@ -73,7 +73,7 @@ pub use prefilter::{
 };
 pub use profile::{Profile, ProfileConfig};
 pub use report::{OptimizationReport, SideReport};
-pub use search::{exhaustive_best_function_order, random_search_function_order, SearchOutcome};
+pub use search::{exhaustive_function_orders, random_search_function_order, SearchOutcome};
 
 /// Convenient import surface.
 pub mod prelude {

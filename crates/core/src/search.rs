@@ -6,9 +6,9 @@
 //! way around it is specificity and variety of patterns. These comparators
 //! make the wall measurable on small programs:
 //!
-//! * [`exhaustive_best_function_order`] — try **all** `F!` function
-//!   orders and return the one with the fewest simulated misses: the true
-//!   optimum, computable only for tiny `F`,
+//! * [`exhaustive_function_orders`] — try **all** `F!` function orders
+//!   and return the one with the fewest simulated misses (the true
+//!   optimum, computable only for tiny `F`) with every order's misses,
 //! * [`random_search_function_order`] — sample random orders with a
 //!   seeded generator: an unbiased budget-matched strawman.
 //!
@@ -36,15 +36,17 @@ fn misses_of(module: &Module, layout: &Layout, config: &EvalConfig) -> CacheStat
     ProgramRun::evaluate(module, layout, config).solo_sim()
 }
 
-/// Evaluate every permutation of the module's functions (Heap's
-/// algorithm) and return the miss-minimal one. Panics if the module has
-/// more than `max_functions` functions — factorial cost is the point, but
-/// guard against accidents (8! = 40,320 evaluations already).
-pub fn exhaustive_best_function_order(
+/// Evaluate every permutation of the module's functions in one walk
+/// (Heap's algorithm) and return the miss-minimal one together with the
+/// full landscape: the miss count of every order, in Heap order (unsorted).
+/// Ties go to the first order reached. Panics if the module has more than
+/// `max_functions` functions — factorial cost is the point, but guard
+/// against accidents (8! = 40,320 evaluations already).
+pub fn exhaustive_function_orders(
     module: &Module,
     config: &EvalConfig,
     max_functions: usize,
-) -> SearchOutcome {
+) -> (SearchOutcome, Vec<u64>) {
     let n = module.num_functions();
     assert!(
         n <= max_functions,
@@ -55,71 +57,20 @@ pub fn exhaustive_best_function_order(
     let mut order: Vec<u32> = (0..n as u32).collect();
     let mut best_order = order.clone();
     let mut best: Option<CacheStats> = None;
-    let mut evaluated = 0u64;
+    let mut landscape = Vec::new();
 
-    // Heap's algorithm, iterative.
-    let mut c = vec![0usize; n];
-    let consider = |order: &[u32],
-                    evaluated: &mut u64,
-                    best: &mut Option<CacheStats>,
-                    best_order: &mut Vec<u32>| {
+    let mut consider = |order: &[u32]| {
         let layout = Layout::FunctionOrder(order.iter().map(|&f| FuncId(f)).collect());
         let stats = misses_of(module, &layout, config);
-        *evaluated += 1;
+        landscape.push(stats.misses);
         if best.map(|b| stats.misses < b.misses).unwrap_or(true) {
-            *best = Some(stats);
+            best = Some(stats);
             best_order.clear();
             best_order.extend_from_slice(order);
         }
     };
-    consider(&order, &mut evaluated, &mut best, &mut best_order);
-    let mut i = 0usize;
-    while i < n {
-        if c[i] < i {
-            if i.is_multiple_of(2) {
-                order.swap(0, i);
-            } else {
-                order.swap(c[i], i);
-            }
-            consider(&order, &mut evaluated, &mut best, &mut best_order);
-            c[i] += 1;
-            i = 0;
-        } else {
-            c[i] = 0;
-            i += 1;
-        }
-    }
-
-    SearchOutcome {
-        layout: Layout::FunctionOrder(best_order.into_iter().map(FuncId).collect()),
-        stats: best.unwrap_or_default(),
-        evaluated,
-    }
-}
-
-/// Miss counts of **every** function order — the full landscape the wall
-/// experiment reports percentiles of. Same factorial guard as
-/// [`exhaustive_best_function_order`]. The returned vector is unsorted
-/// (one entry per permutation in Heap-order).
-pub fn exhaustive_function_order_distribution(
-    module: &Module,
-    config: &EvalConfig,
-    max_functions: usize,
-) -> Vec<u64> {
-    let n = module.num_functions();
-    assert!(
-        n <= max_functions,
-        "exhaustive search over {} functions refused (limit {})",
-        n,
-        max_functions
-    );
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    let mut out = Vec::new();
-    let score = |order: &[u32], out: &mut Vec<u64>| {
-        let layout = Layout::FunctionOrder(order.iter().map(|&f| FuncId(f)).collect());
-        out.push(misses_of(module, &layout, config).misses);
-    };
-    score(&order, &mut out);
+    consider(&order);
+    // Heap's algorithm, iterative.
     let mut c = vec![0usize; n];
     let mut i = 0usize;
     while i < n {
@@ -129,7 +80,7 @@ pub fn exhaustive_function_order_distribution(
             } else {
                 order.swap(c[i], i);
             }
-            score(&order, &mut out);
+            consider(&order);
             c[i] += 1;
             i = 0;
         } else {
@@ -137,7 +88,13 @@ pub fn exhaustive_function_order_distribution(
             i += 1;
         }
     }
-    out
+
+    let best = SearchOutcome {
+        layout: Layout::FunctionOrder(best_order.into_iter().map(FuncId).collect()),
+        stats: best.unwrap_or_default(),
+        evaluated: landscape.len() as u64,
+    };
+    (best, landscape)
 }
 
 /// Sample `budget` random function orders (seeded xorshift Fisher–Yates)
@@ -219,7 +176,7 @@ mod tests {
     #[test]
     fn exhaustive_visits_factorial_layouts() {
         let m = small_module();
-        let out = exhaustive_best_function_order(&m, &eval(), 6);
+        let (out, _) = exhaustive_function_orders(&m, &eval(), 6);
         assert_eq!(out.evaluated, 120); // 5!
         assert!(out.layout.is_permutation_of(&m));
     }
@@ -228,7 +185,7 @@ mod tests {
     fn exhaustive_is_at_least_as_good_as_anything() {
         let m = small_module();
         let cfg = eval();
-        let best = exhaustive_best_function_order(&m, &cfg, 6);
+        let (best, _) = exhaustive_function_orders(&m, &cfg, 6);
         let original = misses_of(&m, &Layout::original(&m), &cfg);
         assert!(best.stats.misses <= original.misses);
         let rand = random_search_function_order(&m, &cfg, 20, 7);
@@ -266,17 +223,48 @@ mod tests {
     #[should_panic(expected = "refused")]
     fn exhaustive_guards_against_blowup() {
         let m = small_module();
-        exhaustive_best_function_order(&m, &eval(), 3);
+        exhaustive_function_orders(&m, &eval(), 3);
     }
 
     #[test]
     fn distribution_covers_all_permutations() {
         let m = small_module();
         let cfg = eval();
-        let dist = exhaustive_function_order_distribution(&m, &cfg, 6);
+        let (best, dist) = exhaustive_function_orders(&m, &cfg, 6);
         assert_eq!(dist.len(), 120);
-        // Its minimum equals the exhaustive best.
-        let best = exhaustive_best_function_order(&m, &cfg, 6);
+        // Its minimum is the best order's; the walk starts at the original.
         assert_eq!(dist.iter().copied().min().unwrap(), best.stats.misses);
+        assert_eq!(dist[0], misses_of(&m, &Layout::original(&m), &cfg).misses);
+    }
+
+    #[test]
+    fn exhaustive_walks_heap_order_and_keeps_the_first_minimum() {
+        // The first eight orders of Heap's algorithm over five functions.
+        let heap_prefix: [[u32; 5]; 8] = [
+            [0, 1, 2, 3, 4],
+            [1, 0, 2, 3, 4],
+            [2, 0, 1, 3, 4],
+            [0, 2, 1, 3, 4],
+            [1, 2, 0, 3, 4],
+            [2, 1, 0, 3, 4],
+            [3, 1, 0, 2, 4],
+            [1, 3, 0, 2, 4],
+        ];
+        let order = |o: &[u32; 5]| Layout::FunctionOrder(o.iter().map(|&f| FuncId(f)).collect());
+        // A cache that holds the whole program: orders differ only by
+        // line alignment, so many tie at the minimum.
+        let m = small_module();
+        let cfg = EvalConfig {
+            cache: clop_cachesim::CacheConfig::new(1 << 20, 8, 64),
+            ..eval()
+        };
+        let (best, dist) = exhaustive_function_orders(&m, &cfg, 6);
+        for (i, o) in heap_prefix.iter().enumerate() {
+            assert_eq!(dist[i], misses_of(&m, &order(o), &cfg).misses, "order {i}");
+        }
+        let min = best.stats.misses;
+        let first = dist.iter().position(|&x| x == min).unwrap();
+        assert!(first + 1 < heap_prefix.len() && dist[first + 1] == min);
+        assert_eq!(best.layout, order(&heap_prefix[first]));
     }
 }
